@@ -158,28 +158,46 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
     return ClaimReport(claim, k_max, n_max, "verified_up_to_bounds")
 
 
+def _factorize(m: int) -> dict:
+    """{prime: exponent} for m >= 1, by trial division."""
+    factors = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            m //= p
+            factors[p] = factors.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if m < 1:
         raise ValueError("m must be >= 1")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    for p in _factorize(m):
+        result -= result // p
     return result
 
 
 def internal_congruence_check(r: int, k: int, m: int, order: int) -> bool:
-    """Does s_{phi(m) k + r} agree with s_r mod m below the given order?"""
+    """Does s_{phi(m) k + r} agree with s_r mod m below the given order?
+
+    The identity behind it, x^{phi(m) k + r} == x^r (mod m) for every x,
+    needs r to be at least the largest prime exponent of m (x = 2, m = 4,
+    r = 1 breaks it).  Below that a False would not be a counterexample to
+    anything, so the check raises ValueError as outside its domain.
+    """
     if r < 1 or k < 0 or m < 2 or order < 1:
         raise ValueError("need r >= 1, k >= 0, m >= 2, order >= 1")
+    top = max(_factorize(m).values())
+    if r < top:
+        raise ValueError(
+            f"outside domain: r={r} is below the largest prime exponent "
+            f"{top} of m={m}"
+        )
     ring = RingSpec(m)
     d = euler_phi(m) * k + r
     return sd_series(d, order, ring) == sd_series(r, order, ring)

@@ -3,9 +3,12 @@
 rd_series counts diamonds by total node sum, sd_series counts Schmidt-type
 diamonds by link sum only, and ddn_series_closed gives the fixed-length
 series under the one-variable specialization (every node variable set to q).
-All infinite products go through product_family, whose stabilization
-contract guarantees that factors beyond the truncation order contribute
-nothing.
+Each closed form is a product of sparse polynomials over powers of
+1/(1 - q^s); rd_series and sd_series go through the in-place kernel
+series.euler_product, whose stabilization contract guarantees that factors
+beyond the truncation order contribute nothing, and the other products
+call its two primitives directly.  sd_series_factorwise stays on
+product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
 
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .polynomials import eulerian_poly, fd_specialize
-from .series import RingSpec, TruncatedSeries, ZZ, product_family
+from .polynomials import eulerian_poly, fd_poly
+from .series import (RingSpec, TruncatedSeries, ZZ, div_one_minus,
+                     euler_product, mul_sparse, product_family)
 
 __all__ = [
     "rd_series",
@@ -33,10 +37,6 @@ __all__ = [
 ]
 
 
-def _one_minus_qn(n: int, order: int, ring: RingSpec) -> TruncatedSeries:
-    return TruncatedSeries.from_terms({0: 1, n: -1}, order, ring)
-
-
 def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting d-fold partition diamonds by total node sum.
 
@@ -44,42 +44,48 @@ def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
+    fd = fd_poly(d)
 
-    def factor(n: int) -> TruncatedSeries:
-        a = (n - 1) * (d + 1) + 1
-        k = n - 1  # cell index; both exponent conventions must agree
-        assert a == k * (d + 1) + 1
-        num = fd_specialize(d, a, 1, order)
-        if not ring.is_exact:
-            num = TruncatedSeries.from_coeffs(num.coeffs, ring=ring)
-        return num * _one_minus_qn(n, order, ring).inverse()
+    def factor(n: int) -> tuple:
+        return fd.specialized_terms((n - 1) * (d + 1) + 1, 1, order), {n: 1}
 
-    return product_family(factor, order, ring)
+    return euler_product(factor, order, ring)
 
 
 def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting Schmidt-type d-fold diamonds by link sum.
 
-    The n-th factor is A_d(q^n) / (1 - q^n)^(d+1) with A_d the Eulerian
-    polynomial.
+    The n-th factor is sum_j (j+1)^d q^{jn} = A_d(q^n) / (1 - q^n)^(d+1)
+    with A_d the Eulerian polynomial.  Over Z/mZ the coefficient (j+1)^d
+    mod m has period m in j, so the factor is also the degree < m numerator
+    sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}); that form is used
+    there, with j also cut off at the truncation order.
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
-    a_d = eulerian_poly(d)
+    m = ring.modulus
+    if m is None:
+        a_d = eulerian_poly(d).coeffs
 
-    def factor(n: int) -> TruncatedSeries:
-        num = a_d.to_series(order, ring, exponent_scale=n)
-        return num * _one_minus_qn(n, order, ring) ** (-(d + 1))
+        def factor(n: int) -> tuple:
+            return {i * n: c for i, c in enumerate(a_d)}, {n: d + 1}
+    else:
+        powers = [pow(j + 1, d, m) for j in range(min(m, order))]
 
-    return product_family(factor, order, ring)
+        def factor(n: int) -> tuple:
+            terms = min(m, -(-order // n))
+            numerator = {j * n: powers[j] for j in range(terms)}
+            return numerator, {m * n: 1} if m * n < order else {}
+
+    return euler_product(factor, order, ring)
 
 
 def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Same series as sd_series, with each factor built as a bare power sum.
 
     The n-th factor is sum_j (j+1)^d q^{jn}, written out termwise without
-    Eulerian polynomials; agreement with sd_series is the Euler identity
-    behind the sd closed form.
+    Eulerian polynomials and multiplied in through product_family; agreement
+    with sd_series is the Euler identity behind the sd closed form.
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
@@ -104,14 +110,15 @@ def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
     """
     if d < 1 or n < 1 or order < 1:
         raise ValueError("need d >= 1, n >= 1, order >= 1")
-    acc = TruncatedSeries.one(order, ZZ)
+    fd = fd_poly(d)
+    acc = [1] + [0] * (order - 1)
     for k in range(n):
         base = k * (d + 1) + 1
-        acc = acc * fd_specialize(d, base, 1, order)
+        mul_sparse(acc, fd.specialized_terms(base, 1, order))
         for t in range(d + 1):
-            acc = acc * _one_minus_qn(base + t, order, ZZ).inverse()
-    tail = (n + 1) + d * n
-    return acc * _one_minus_qn(tail, order, ZZ).inverse()
+            div_one_minus(acc, base + t)
+    div_one_minus(acc, (n + 1) + d * n)
+    return TruncatedSeries(ZZ, tuple(acc))
 
 
 class MersmannResult(NamedTuple):
@@ -128,13 +135,14 @@ def mersmann_F_series(order: int) -> MersmannResult:
     if order < 1:
         raise ValueError("order must be >= 1")
 
-    def factor(n: int) -> TruncatedSeries:
-        num = _one_minus_qn(6 * n, order, ZZ) * _one_minus_qn(n, order, ZZ) ** 2
-        return (num
-                * _one_minus_qn(3 * n, order, ZZ).inverse()
-                * _one_minus_qn(2 * n, order, ZZ).inverse())
-
-    eta_side = product_family(factor, order, ZZ)
+    # (1 - q^n)^2 (1 - q^{6n}) expanded, over (1 - q^{2n}) (1 - q^{3n})
+    acc = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        mul_sparse(acc, {0: 1, n: -2, 2 * n: 1, 6 * n: -1, 7 * n: 2,
+                         8 * n: -1})
+        div_one_minus(acc, 2 * n)
+        div_one_minus(acc, 3 * n)
+    eta_side = TruncatedSeries(ZZ, tuple(acc))
 
     terms = {}
     t = 0

@@ -23,10 +23,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .polynomials import fd_poly
-from .series import TruncatedSeries, ZZ
+from .series import TruncatedSeries, ZZ, div_one_minus, mul_sparse
 
 __all__ = [
     "OmegaInstance",
@@ -114,18 +115,16 @@ def omega_closed_form(inst: OmegaInstance, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     beta = inst.y_exponent
-
-    def one_minus(e: int) -> TruncatedSeries:
-        return TruncatedSeries.from_terms({0: 1, e: -1}, order, ZZ)
-
-    first = TruncatedSeries.one(order, ZZ)
+    first = [1] + [0] * (order - 1)
+    second = [0] * order
+    if beta * (inst.j + 1) < order:
+        second[beta * (inst.j + 1)] = 1
     for a in inst.x_exponents:
-        first = first * one_minus(a).inverse()
-    second = TruncatedSeries.monomial(beta * (inst.j + 1), order) \
-        if beta * (inst.j + 1) < order else TruncatedSeries.zero(order, ZZ)
-    for a in inst.x_exponents:
-        second = second * one_minus(a + beta).inverse()
-    return (first - second) * one_minus(beta).inverse()
+        div_one_minus(first, a)
+        div_one_minus(second, a + beta)
+    diff = list(map(sub, first, second))
+    div_one_minus(diff, beta)
+    return TruncatedSeries(ZZ, tuple(diff))
 
 
 def crude_Dd1_check(d: int, a0_exp: int, a1_exp: int, w_exp: int,
@@ -153,16 +152,14 @@ def crude_Dd1_check(d: int, a0_exp: int, a1_exp: int, w_exp: int,
                 e = e1 + w_exp * sum(fans)
                 if e <= top:
                     coeffs[e] += 1
-    enumerated = TruncatedSeries.from_coeffs(coeffs, ring=ZZ)
 
-    closed = fd_poly(d).specialize(a0_exp, w_exp, order)
+    closed = [1] + [0] * (order - 1)
+    mul_sparse(closed, fd_poly(d).specialized_terms(a0_exp, w_exp, order))
     for t in range(d + 1):
-        closed = closed * TruncatedSeries.from_terms(
-            {0: 1, a0_exp + t * w_exp: -1}, order, ZZ).inverse()
-    closed = closed * TruncatedSeries.from_terms(
-        {0: 1, a0_exp + a1_exp + d * w_exp: -1}, order, ZZ).inverse()
+        div_one_minus(closed, a0_exp + t * w_exp)
+    div_one_minus(closed, a0_exp + a1_exp + d * w_exp)
 
-    return enumerated == closed
+    return coeffs == closed
 
 
 # ---------------------------------------------------------------------

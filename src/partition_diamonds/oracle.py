@@ -109,7 +109,17 @@ def enumeration_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get("DIAMOND_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"DIAMOND_BUDGET must be a positive integer, got {env!r}"
+        )
+    return value
 
 
 def _check_budget(estimate: int, budget: int | None, what: str):

@@ -93,13 +93,10 @@ class UnivariatePolynomial:
             v = v * x + c
         return v
 
-    def to_series(self, order: int, ring: RingSpec = ZZ,
-                  exponent_scale: int = 1) -> TruncatedSeries:
-        """The polynomial in q^exponent_scale as a series of the given order."""
-        return TruncatedSeries.from_terms(
-            {i * exponent_scale: c for i, c in enumerate(self.coeffs)},
-            order, ring,
-        )
+    def to_series(self, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
+        """The polynomial as a series of the given order."""
+        return TruncatedSeries.from_terms(dict(enumerate(self.coeffs)),
+                                          order, ring)
 
 
 class BivariatePolynomial:
@@ -180,15 +177,20 @@ class BivariatePolynomial:
         n = max(out, default=-1) + 1
         return UnivariatePolynomial.from_coeffs(out.get(i, 0) for i in range(n))
 
-    def specialize(self, q0_exp: int, w_exp: int, order: int,
-                   ring: RingSpec = ZZ) -> TruncatedSeries:
-        """Substitute q0 -> q^q0_exp, w -> q^w_exp as a truncated series."""
+    def specialized_terms(self, q0_exp: int, w_exp: int, order: int) -> dict:
+        """Substitute q0 -> q^q0_exp, w -> q^w_exp: {exponent: coeff} below order."""
         terms = {}
         for (i, j), c in self._terms.items():
             e = q0_exp * i + w_exp * j
             if e < order:
                 terms[e] = terms.get(e, 0) + c
-        return TruncatedSeries.from_terms(terms, order, ring)
+        return terms
+
+    def specialize(self, q0_exp: int, w_exp: int, order: int,
+                   ring: RingSpec = ZZ) -> TruncatedSeries:
+        """Substitute q0 -> q^q0_exp, w -> q^w_exp as a truncated series."""
+        return TruncatedSeries.from_terms(
+            self.specialized_terms(q0_exp, w_exp, order), order, ring)
 
 
 def _bp(terms) -> BivariatePolynomial:
@@ -219,7 +221,11 @@ def fd_poly(d: int) -> BivariatePolynomial:
     lhs = _bp({(0, 0): 1, (1, d): -1}) * prev                 # (1 - q0 w^d) F_{d-1}
     rhs = _bp({(0, 1): 1, (1, 1): -1}) * prev.substitute_q0w()  # w (1 - q0) F_{d-1}(q0 w, w)
     quotient = (lhs - rhs).divide_by_one_minus_w()
-    assert quotient.degree_q0() == d - 1
+    if quotient.degree_q0() != d - 1:
+        raise ArithmeticError(
+            f"F_{d} has degree {quotient.degree_q0()} in q0, expected {d - 1}; "
+            "the recurrence invariant is broken"
+        )
     return quotient
 
 

@@ -6,15 +6,23 @@ stores the coefficients of q^0 .. q^(N-1) and never claims anything at or
 beyond q^N: every binary operation truncates to the minimum order of its
 inputs.
 
-Multiplication is schoolbook convolution.  Zero coefficients are skipped,
-which changes nothing about the exact integer result but makes products
-against sparse factors (the common case: 1/(1-q^n), theta sums) run in
-O(N * nnz) instead of O(N^2).
+TruncatedSeries is the public value type.  Its multiplication is schoolbook
+convolution that skips zero coefficients, so products against sparse
+factors run in O(N * nnz) instead of O(N^2); product_family multiplies such
+factors one by one and is the reference path the closed forms are tested
+against.
+
+The closed forms in genfun and omega run on a plain coefficient list
+instead, with two in-place primitives: mul_sparse multiplies by a sparse
+polynomial, and div_one_minus divides by (1 - q^s) as stride-s prefix sums.
+euler_product drives them over a whole product family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, mod, mul
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -298,6 +306,100 @@ def product_family(factor_at: Callable[[int], TruncatedSeries], order: int,
                 )
         acc = acc * f
     return acc
+
+
+# ---------------------------------------------------------------------
+# In-place Euler-product kernel (package-internal)
+# ---------------------------------------------------------------------
+
+def mul_sparse(a: list, poly: Mapping[int, int]) -> None:
+    """a *= poly in place, for a polynomial {exponent: coeff} with constant 1.
+
+    Every shifted term reads one snapshot of a, so the terms may come in any
+    order, and a[i] only changes for i at or above the lowest non-constant
+    exponent.  Exponents at or beyond len(a) are dropped.
+    """
+    if poly.get(0) != 1:
+        raise ValueError(f"constant term must be 1, got {poly.get(0, 0)}")
+    n = len(a)
+    shifts = [(e, c) for e, c in poly.items() if e and e < n and c]
+    if not shifts:
+        return
+    low = min(e for e, _ in shifts)
+    if low < 0:
+        raise ValueError(f"negative exponent {low}")
+    snap = a[:n - low]
+    for e, c in shifts:
+        a[e:] = map(add, a[e:],
+                    snap if c == 1 else map(mul, snap, repeat(c, n - e)))
+
+
+def div_one_minus(a: list, s: int, times: int = 1) -> None:
+    """a /= (1 - q^s)^times in place: stride-s prefix sums, for s >= 1.
+
+    A few long residue classes chain all `times` prefix sums per class; many
+    short ones instead add each block of s entries onto the next, so either
+    way the Python-level loop runs at most sqrt(times * len(a)) times.
+    """
+    if s < 1:
+        raise ValueError(f"stride must be >= 1, got {s}")
+    n = len(a)
+    if s >= n:
+        return
+    if s * s <= times * n:
+        for r in range(s):
+            col = a[r::s]
+            for _ in range(times):
+                col = accumulate(col)
+            a[r::s] = col
+    else:
+        for _ in range(times):
+            for b in range(s, n, s):
+                a[b:b + s] = map(add, a[b:b + s], a[b - s:b])
+
+
+def euler_product(factor_at: Callable[[int], tuple], order: int,
+                  ring: RingSpec = ZZ) -> TruncatedSeries:
+    """The product family of product_family, built in place on one list.
+
+    factor_at(n) returns (numerator, denominator): the numerator as an
+    {exponent: coeff} polynomial and the denominator as {stride: power},
+    meaning numerator / prod (1 - q^stride)^power.  The contract is
+    product_family's: constant term 1 and no q^i term with 0 < i < n, which
+    here means every numerator exponent and every stride is >= n.  So factor
+    n never changes an index below n, and over Z/mZ the indices >= n are
+    reduced once per factor.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    m = ring.modulus
+    a = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        numerator, denominator = factor_at(n)
+        poly = {}
+        for e, c in numerator.items():
+            c = ring.normalize(c)
+            if c and e < order:
+                poly[e] = c
+        if poly.get(0) != 1:
+            raise ValueError(
+                f"factor {n} has constant term {poly.get(0, 0)}, need 1"
+            )
+        low = [e for e in poly if e < 0 or 0 < e < n]
+        low += [s for s, k in denominator.items() if k and s < n]
+        if low:
+            raise ValueError(
+                f"factor {n} has a q^{low[0]} term; lowest non-constant "
+                f"exponent must be >= {n}"
+            )
+        if any(k < 0 for k in denominator.values()):
+            raise ValueError(f"factor {n} has a negative denominator power")
+        mul_sparse(a, poly)
+        for s, k in denominator.items():
+            div_one_minus(a, s, k)
+        if m is not None:
+            a[n:] = map(mod, a[n:], repeat(m))
+    return TruncatedSeries(ring, tuple(a))
 
 
 def pentagonal_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:

@@ -118,6 +118,15 @@ def test_oracle_budget_exit_2(capsys):
     assert "budget" in err.lower()
 
 
+def test_bad_budget_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("DIAMOND_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "oracle", "--kind", "rd", "--d", "1",
+                             "--N", "10")
+    assert code == 2
+    assert out == ""
+    assert "DIAMOND_BUDGET" in err
+
+
 def test_verify_list_and_single_claim(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

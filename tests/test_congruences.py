@@ -84,6 +84,18 @@ def test_internal_congruence_examples():
     assert internal_congruence_check(1, 0, 7, 50)    # k=0: same function
 
 
+@pytest.mark.parametrize("m", (4, 9, 12))
+def test_internal_congruence_outside_domain_raises(m):
+    # r = 1 is below the exponent 2 in 4, 9 and 12 = 2^2 * 3
+    with pytest.raises(ValueError, match="outside domain"):
+        internal_congruence_check(1, 1, m, 100)
+
+
+@pytest.mark.parametrize("m", (4, 9, 12))
+def test_internal_congruence_prime_powers_at_domain_edge(m):
+    assert internal_congruence_check(2, 1, m, 100)
+
+
 def test_scanner_finds_mod5_progressions():
     series = sd_series(1, 500, RingSpec(5))
     assert scan_progressions(series, 6) == [(5, 2), (5, 3), (5, 4)]

@@ -9,7 +9,7 @@ import pytest
 
 from partition_diamonds.oracle import (
     BudgetError, DiamondConfig, DiamondShape, count_rd, count_rd_upto,
-    count_sd, count_sd_raw, estimate_ddn_enumeration,
+    count_sd, count_sd_raw, enumeration_budget, estimate_ddn_enumeration,
     estimate_rd_enumeration, series_Ddn_bruteforce, series_Ddn_shifted,
 )
 from partition_diamonds.series import TruncatedSeries
@@ -149,3 +149,13 @@ def test_budget_guard_and_env_override(monkeypatch):
         count_rd(2, 10)
     monkeypatch.delenv("DIAMOND_BUDGET")
     assert count_rd(2, 10) == count_rd_upto(2, 10)[10] > 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_budget_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("DIAMOND_BUDGET", value)
+    with pytest.raises(ValueError, match="DIAMOND_BUDGET"):
+        enumeration_budget()
+    with pytest.raises(ValueError, match="DIAMOND_BUDGET"):
+        count_rd(1, 3)
+    assert enumeration_budget(7) == 7  # an explicit budget wins

@@ -108,3 +108,15 @@ def test_json_shapes():
         {"i": 1, "j": 2, "c": "2"},
         {"i": 2, "j": 3, "c": "1"},
     ]
+
+
+def test_fd_poly_degree_invariant_raises(monkeypatch):
+    # a wrong quotient must raise even under python -O, where asserts vanish
+    monkeypatch.setattr(BivariatePolynomial, "divide_by_one_minus_w",
+                        lambda self: BivariatePolynomial({(0, 0): 1}))
+    fd_poly.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="degree"):
+            fd_poly(3)
+    finally:
+        fd_poly.cache_clear()
