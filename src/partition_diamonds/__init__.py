@@ -33,6 +33,7 @@ from .oracle import (
     count_rd_upto,
     count_sd,
     count_sd_raw,
+    count_sd_upto,
     series_Ddn_bruteforce,
     series_Ddn_shifted,
 )

@@ -22,7 +22,7 @@ from .congruences import (builtin_claims, claim_by_label,
 from .genfun import (ddn_series_closed, mersmann_F_series, rd_series,
                      sd_series)
 from .omega import crude_Dd1_check, run_omega_suite
-from .oracle import (BudgetError, count_rd_upto, count_sd,
+from .oracle import (BudgetError, count_rd_upto, count_sd_upto,
                      series_Ddn_bruteforce)
 from .polynomials import eulerian_poly, fd_at_w1
 from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
@@ -264,18 +264,18 @@ def cmd_identities(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     _check_d(cfg)
     mismatches = []
+    # the guarded enumeration runs first, so a refused job builds no series
     if cfg.kind == "ddn":
         if cfg.n is None:
             raise UsageError("--kind ddn requires --n")
+        counts = series_Ddn_bruteforce(cfg.d, cfg.n, cfg.N, cfg.budget).coeffs
         closed = ddn_series_closed(cfg.d, cfg.n, cfg.N)
-        raw = series_Ddn_bruteforce(cfg.d, cfg.n, cfg.N, cfg.budget)
-        counts = raw.coeffs
     elif cfg.kind == "rd":
-        closed = rd_series(cfg.d, cfg.N)
         counts = count_rd_upto(cfg.d, cfg.N - 1, cfg.budget)
+        closed = rd_series(cfg.d, cfg.N)
     else:
+        counts = count_sd_upto(cfg.d, cfg.N - 1, cfg.budget)
         closed = sd_series(cfg.d, cfg.N)
-        counts = [count_sd(cfg.d, n) for n in range(cfg.N)]
     for n, (got, want) in enumerate(zip(closed.coeffs, counts)):
         if got != want:
             mismatches.append({"index": n, "closed_form": str(got),

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .genfun import sd_series
 from .oracle import BudgetError, enumeration_budget
-from .series import RingSpec, TruncatedSeries
+from .series import MODULUS_LIMIT, RingSpec, TruncatedSeries
 
 __all__ = [
     "CongruenceClaim",
@@ -38,7 +38,10 @@ __all__ = [
     "report_to_json_dict",
 ]
 
-MAX_POW2_D = 62  # 2^d must stay inside the 64-bit residue ring
+# Claims keep one bit of headroom below the residue-ring limit: a fixed
+# modulus stays below 2^63, and the 2^d family stops at d = 62.
+CLAIM_MODULUS_LIMIT = MODULUS_LIMIT >> 1
+MAX_POW2_D = CLAIM_MODULUS_LIMIT.bit_length() - 2
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class CongruenceClaim:
                 raise ValueError("power-of-two claims derive m from d")
         elif self.modulus is None or self.modulus < 2:
             raise ValueError("fixed modulus must be >= 2")
-        elif self.modulus >= 1 << 63:
+        elif self.modulus >= CLAIM_MODULUS_LIMIT:
             raise ValueError("modulus must stay below 2^63")
 
     def d_at(self, k: int) -> int:

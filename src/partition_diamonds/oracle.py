@@ -8,19 +8,31 @@ finite weight has finite support, and we identify unbounded-length diamonds
 with their support: trailing all-zero cells are quotiented away.  Counting
 therefore fixes a long-enough chain and stops as soon as a link hits zero.
 
-Everything here enumerates node values explicitly: this module is the
-ground-truth oracle the closed-form generating functions are tested against,
-so it must not reuse the algebra it is checking.  The one exception is the
-work estimator used by the budget guard, which may count fast; it only
-decides whether an enumeration is affordable, never what it returns.
+Everything here enumerates explicitly: count_rd_upto and the fixed-shape
+series iterate every node value, count_sd_upto iterates every link chain
+and multiplies out the independent fan choices of its cells, and
+count_sd_raw iterates those fan values too.  This module is the
+ground-truth oracle the closed-form generating functions are tested
+against, so it must not reuse the algebra it is checking: it takes nothing
+from genfun or polynomials, and from series only the TruncatedSeries
+return type.
+
+Every enumerator first runs the budget guard: an exact count of what it is
+about to visit (diamonds for rd and ddn, link chain prefixes for sd),
+computed before any enumeration.  The rd and ddn estimators are iterative
+sweeps over weight vectors, one per link value, O(d N^2) for free length
+and O(d n N^2) for a fixed shape; the sd estimator is the partition coin
+DP.  They only decide whether an enumeration is affordable, never what it
+returns.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
+from math import comb
+from operator import add, mul
 
 from .series import TruncatedSeries, ZZ
 
@@ -32,11 +44,13 @@ __all__ = [
     "count_rd",
     "count_rd_upto",
     "count_sd",
+    "count_sd_upto",
     "count_sd_raw",
     "series_Ddn_bruteforce",
     "series_Ddn_shifted",
     "estimate_rd_enumeration",
     "estimate_ddn_enumeration",
+    "estimate_sd_enumeration",
 ]
 
 DEFAULT_BUDGET = 10 ** 9
@@ -131,62 +145,134 @@ def _check_budget(estimate: int, budget: int | None, what: str):
         )
 
 
+def _check_width(d: int):
+    # d = 0 (links only, counted by partitions) is a valid degenerate width
+    if d < 0:
+        raise ValueError(f"fan width d must be >= 0, got {d}")
+
+
 # ---------------------------------------------------------------------
-# Work estimators (guard only; results always come from raw enumeration)
+# Exact work estimators (guard only; results come from the enumerations)
 # ---------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gap_sum_counts(d: int, g: int) -> tuple:
-    """Coefficients of (1 + q + ... + q^g)^d: fan-sum multiplicities."""
-    out = [1]
-    for _ in range(d):
-        new = [0] * (len(out) + g)
-        for i, c in enumerate(out):
-            if c:
-                for j in range(g + 1):
-                    new[i + j] += c
-        out = new
-    return tuple(out)
+def _shifted(vec, s: int, size: int) -> list:
+    """q^s * vec, truncated to `size` coefficients."""
+    return [0] * size if s >= size else [0] * s + list(vec)[:size - s]
+
+
+class _FanBoxes:
+    """Fan boxes sum_{c > a} (1 + q + ... + q^{c-a})^d V_c while a runs down.
+
+    With (1 + ... + q^g)^d = (1 - q)^-d sum_j (-1)^j C(d, j) q^{j(g+1)}, the
+    box is d prefix-sum passes over the d+1 suffix accumulations
+    T_j = sum_{c > a} q^{j(c-a+1)} V_c.  Moving from link value a to a - 1
+    is T_j <- q^j (T_j + q^j V_a).  T_j starts at q^{2j}, so only j with
+    2j < size ever holds a coefficient.
+
+    The sweep starts at link value `top`.  Above it a link can only be the
+    first of a chain (a cell ending at link c already weighs (d+1)c >=
+    size), so V_c = q^c there and T_j = sum_{c > top} q^{(j+1)c - j(top-1)}
+    is filled in directly; top >= size - 1 starts from all zeros.
+    """
+
+    def __init__(self, d: int, size: int, top: int):
+        self.d = d
+        self.size = size
+        live = min(d, (size - 1) // 2)
+        self.signs = [(-1) ** j * comb(d, j) for j in range(live + 1)]
+        self.acc = []
+        for j in range(live + 1):
+            acc = [0] * size
+            start = top + 1 + 2 * j
+            acc[start::j + 1] = repeat(1, len(range(start, size, j + 1)))
+            self.acc.append(acc)
+
+    def box(self) -> list:
+        total = self.acc[0]
+        for sign, acc in zip(self.signs[1:], self.acc[1:]):
+            total = list(map(add, total, map(mul, repeat(sign), acc)))
+        for _ in range(self.d):
+            total = list(accumulate(total))
+        return total
+
+    def push(self, vec: list) -> None:
+        """Step from link value a to a - 1, given V_a."""
+        size, acc = self.size, self.acc
+        acc[0] = list(map(add, acc[0], vec))
+        for j in range(1, len(acc)):
+            acc[j] = _shifted(map(add, acc[j], _shifted(vec, j, size)),
+                              j, size)
 
 
 def estimate_rd_enumeration(d: int, n_max: int) -> int:
-    """Exact number of diamonds of total weight <= n_max (fast DP)."""
+    """Exact number of diamonds of total weight <= n_max.
 
-    @lru_cache(maxsize=None)
-    def completions(a_prev: int, rem: int) -> int:
-        if a_prev == 0:
-            return 1
-        total = 0
-        for a in range(min(a_prev, rem // (d + 1)) + 1):
-            fan_counts = _gap_sum_counts(d, a_prev - a)
-            cap = rem - a - d * a
-            for s, ways in enumerate(fan_counts):
-                if s > cap:
-                    break
-                total += ways * completions(a, rem - a - d * a - s)
-        return total
-
-    return sum(completions(a0, n_max - a0) for a0 in range(n_max + 1))
+    U_a, the weight vector of chain prefixes ending at link a, is
+    q^a (a one-link chain) plus q^{(d+1)a} times the fan box over every
+    heavier link, divided by 1 - q^{(d+1)a} for the equal-link cells (all
+    fans = a): a stride prefix sum.  Links run from n_max // (d+1) down; a
+    diamond ends at its first zero link, so the total is 1 + the last box.
+    O(d * n_max^2) integer operations, no recursion.
+    """
+    _check_width(d)
+    if n_max < 0:
+        return 0
+    size = n_max + 1
+    top = n_max // (d + 1)
+    fans = _FanBoxes(d, size, top)
+    for a in range(top, 0, -1):
+        step = (d + 1) * a
+        box = fans.box()
+        u = [0] * size
+        u[a] = 1
+        for w in range(step, size):
+            u[w] += box[w - step] + u[w - step]
+        fans.push(u)
+    return 1 + sum(fans.box())
 
 
 def estimate_ddn_enumeration(d: int, n: int, order: int) -> int:
-    """Exact number of shape-(d, n) diamonds of weight < order (fast DP)."""
+    """Exact number of shape-(d, n) diamonds of weight < order.
 
-    @lru_cache(maxsize=None)
-    def tails(cells_left: int, a_prev: int, rem: int) -> int:
-        if cells_left == 0:
-            return 1
-        total = 0
-        for a in range(min(a_prev, rem // (d + 1)) + 1):
-            fan_counts = _gap_sum_counts(d, a_prev - a)
-            cap = rem - a - d * a
-            for s, ways in enumerate(fan_counts):
-                if s > cap:
-                    break
-                total += ways * tails(cells_left - 1, a, rem - a - d * a - s)
-        return total
+    Layer k holds the weight vectors of k-cell prefixes by last link a; cell
+    k + 1 maps the links c >= a of layer k to layer k + 1 as q^{(d+1)a}
+    (fan box over c > a, plus the c = a term).  One sweep over a from
+    (order-1) // (d+1) down updates every layer; a heavier link can only
+    be a_0.  O(d * n * order^2) integer operations, no recursion.
+    """
+    _check_width(d)
+    if n == 0 or order < 1:
+        return max(order, 0)
+    size = order
+    top = (size - 1) // (d + 1)
+    fans = [_FanBoxes(d, size, top)]
+    fans += [_FanBoxes(d, size, size) for _ in range(n - 1)]
+    total = 0
+    for a in range(top, -1, -1):
+        step = (d + 1) * a
+        v = [0] * size
+        v[a] = 1  # layer 0: the link a_0 = a
+        for layer in fans:
+            nxt = _shifted(map(add, layer.box(), v), step, size)
+            layer.push(v)
+            v = nxt
+        total += sum(v)
+    return total
 
-    return sum(tails(n, a0, order - 1 - a0) for a0 in range(order))
+
+def estimate_sd_enumeration(n_max: int) -> int:
+    """Exact number of link chains of weight <= n_max: sum of p(w), w <= n_max.
+
+    Each chain is one chain prefix visited by count_sd_upto.  Counted with
+    the coin DP over part sizes 1..n_max.
+    """
+    if n_max < 0:
+        return 0
+    parts = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for w in range(part, n_max + 1):
+            parts[w] += parts[w - part]
+    return sum(parts)
 
 
 # ---------------------------------------------------------------------
@@ -251,38 +337,49 @@ def _link_chains(n: int):
         yield from rec([], n, n)
 
 
-def count_sd(d: int, n: int) -> int:
-    """Schmidt-type count: diamonds graded by link sum only.
+def count_sd_upto(d: int, n_max: int, budget: int | None = None) -> list:
+    """[s_d(0), ..., s_d(n_max)]: diamonds graded by link sum only.
 
-    For each weakly decreasing link chain the fan nodes of cell k can take
-    (gap_k + 1)^d values independently, so the count is the chain sum of
-    those products.  (count_sd_raw iterates the fan values instead.)
+    One pass over the weakly decreasing positive link chains of weight
+    <= n_max.  Each chain prefix is visited once and closes one diamond
+    class: the fan nodes of cell k take (gap_k + 1)^d values independently,
+    the last cell dropping to zero, so a prefix adds the product of those
+    counts to its weight.  (count_sd_raw iterates the fan values instead.)
     """
-    if n < 0:
+    _check_width(d)
+    if n_max < 0:
         raise ValueError("weight must be >= 0")
-    total = 0
-    for chain in _link_chains(n):
-        weight = 1
-        prev = None
-        for part in chain:
-            if prev is not None:
-                weight *= (prev - part + 1) ** d
-            prev = part
-        if prev is not None:
-            weight *= (prev + 1) ** d  # final drop to zero
-        total += weight
-    return total
+    _check_budget(estimate_sd_enumeration(n_max), budget,
+                  f"count_sd(d={d}, n<={n_max})")
+    cell = [(gap + 1) ** d for gap in range(n_max + 1)]
+    counts = [0] * (n_max + 1)
+    counts[0] = 1  # the empty chain: every node is zero
+    # (last link, link sum, product over the closed cells)
+    stack = [(a0, a0, 1) for a0 in range(n_max, 0, -1)]
+    while stack:
+        last, used, inner = stack.pop()
+        counts[used] += inner * cell[last]
+        for a in range(min(last, n_max - used), 0, -1):
+            stack.append((a, used + a, inner * cell[last - a]))
+    return counts
+
+
+def count_sd(d: int, n: int, budget: int | None = None) -> int:
+    """Schmidt-type count s_d(n): diamonds whose link values sum to n."""
+    return count_sd_upto(d, n, budget)[n]
 
 
 def count_sd_raw(d: int, n: int, budget: int | None = None) -> int:
     """Schmidt-type count with every fan assignment enumerated explicitly.
 
-    Independent of the (gap+1)^d shortcut that count_sd uses; kept as the
-    raw oracle for cross-checking it.
+    Independent of the (gap+1)^d shortcut that count_sd_upto uses; kept as
+    the raw oracle for cross-checking it.  The guard's estimate is s_d(n)
+    itself, the number of configurations enumerated.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
-    _check_budget(count_sd(d, n), budget, f"count_sd_raw(d={d}, n={n})")
+    _check_budget(count_sd(d, n, budget), budget,
+                  f"count_sd_raw(d={d}, n={n})")
     total = 0
     for chain in _link_chains(n):
         links = chain + [0]

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+MODULUS_LIMIT = 1 << 64  # residue rings Z/mZ take 2 <= m < 2^64
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Coefficient ring: exact integers (modulus None) or integers mod m."""
@@ -52,7 +55,7 @@ class RingSpec:
         if m is not None:
             if m < 2:
                 raise ValueError(f"modulus must be >= 2, got {m}")
-            if m >= 1 << 64:
+            if m >= MODULUS_LIMIT:
                 raise ValueError(f"modulus must fit in 64 bits, got {m}")
 
     @property

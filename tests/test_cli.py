@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from partition_diamonds import cli
 from partition_diamonds.cli import DEFAULT_SEED, main
 
 
@@ -125,6 +126,51 @@ def test_bad_budget_env_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "DIAMOND_BUDGET" in err
+
+
+def test_oracle_large_refusal_exit_2(capsys):
+    # far past any recursion limit: a refusal, never a crash with exit 1
+    code, out, err = run_cli(capsys, "oracle", "--kind", "rd", "--d", "1",
+                             "--N", "2500")
+    assert code == 2
+    assert out == ""
+    assert "budget error" in err
+
+
+@pytest.mark.parametrize("kind", ["rd", "sd", "ddn"])
+def test_oracle_refusal_builds_no_series(capsys, monkeypatch, kind):
+    def no_series(*args, **kwargs):
+        raise AssertionError("closed form built for a refused job")
+
+    for name in ("rd_series", "sd_series", "ddn_series_closed"):
+        monkeypatch.setattr(cli, name, no_series)
+    code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "2",
+                             "--n", "2", "--N", "30", "--budget", "10")
+    assert code == 2
+    assert out == ""
+    assert "budget error" in err
+
+
+@pytest.mark.parametrize("kind", ["rd", "sd", "ddn"])
+def test_oracle_negative_width_exit_2(capsys, kind):
+    code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "-1",
+                             "--n", "2", "--N", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_oracle_sd_honours_budget(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "oracle", "--kind", "sd", "--d", "1",
+                             "--N", "1200", "--budget", "10")
+    assert code == 2
+    assert out == ""
+    assert "budget error" in err
+    monkeypatch.setenv("DIAMOND_BUDGET", "10")
+    code, _, err = run_cli(capsys, "oracle", "--kind", "sd", "--d", "1",
+                           "--N", "30")
+    assert code == 2
+    assert "budget error" in err
 
 
 def test_verify_list_and_single_claim(capsys):

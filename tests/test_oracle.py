@@ -5,14 +5,21 @@ are fully determined), from hand enumeration recorded in comments, or from
 independent partition counting written in the test file.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partition_diamonds.oracle import (
     BudgetError, DiamondConfig, DiamondShape, count_rd, count_rd_upto,
-    count_sd, count_sd_raw, enumeration_budget, estimate_ddn_enumeration,
-    estimate_rd_enumeration, series_Ddn_bruteforce, series_Ddn_shifted,
+    count_sd, count_sd_raw, count_sd_upto, enumeration_budget,
+    estimate_ddn_enumeration, estimate_rd_enumeration,
+    estimate_sd_enumeration, series_Ddn_bruteforce, series_Ddn_shifted,
 )
 from partition_diamonds.series import TruncatedSeries
+
+SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def partitions_at_most_k_parts(n, k):
@@ -159,3 +166,148 @@ def test_budget_env_rejects_bad_values(monkeypatch, value):
     with pytest.raises(ValueError, match="DIAMOND_BUDGET"):
         count_rd(1, 3)
     assert enumeration_budget(7) == 7  # an explicit budget wins
+
+
+# ---------------------------------------------------------------------
+# Differential checks of the exact estimators and the one-pass sd oracle
+# ---------------------------------------------------------------------
+
+def recursive_estimates(d):
+    """Memoized cell-by-cell recursion over (cells left, last link, weight).
+
+    The estimators' previous form, kept here as an independent third
+    counter: it walks the cells one at a time and expands the fan box
+    (1 + q + ... + q^g)^d by repeated convolution.
+    """
+
+    @lru_cache(maxsize=None)
+    def fan_counts(g):
+        out = [1]
+        for _ in range(d):
+            new = [0] * (len(out) + g)
+            for i, c in enumerate(out):
+                for j in range(g + 1):
+                    new[i + j] += c
+            out = new
+        return out
+
+    @lru_cache(maxsize=None)
+    def tails(cells, a_prev, rem):
+        # cells is None for free length: stop at the first zero link
+        if cells == 0 or (cells is None and a_prev == 0):
+            return 1
+        left = None if cells is None else cells - 1
+        total = 0
+        for a in range(min(a_prev, rem // (d + 1)) + 1):
+            for s, ways in enumerate(fan_counts(a_prev - a)):
+                cost = (d + 1) * a + s
+                if cost > rem:
+                    break
+                total += ways * tails(left, a, rem - cost)
+        return total
+
+    def rd(n_max):
+        return sum(tails(None, a0, n_max - a0) for a0 in range(n_max + 1))
+
+    def ddn(n, order):
+        return sum(tails(n, a0, order - 1 - a0) for a0 in range(order))
+
+    return rd, ddn
+
+
+def chain_product_sd(d, n):
+    """s_d(n) as the sum over partitions of n of prod (gap + 1)^d."""
+
+    def rec(prev, rem):
+        if rem == 0:
+            return (prev + 1) ** d
+        return sum((prev - part + 1) ** d * rec(part, rem - part)
+                   for part in range(min(prev, rem), 0, -1))
+
+    return 1 if n == 0 else sum(rec(a0, n - a0) for a0 in range(n, 0, -1))
+
+
+@SETTINGS
+@given(d=st.integers(1, 4), n_max=st.integers(0, 14))
+@example(d=1, n_max=0)
+@example(d=4, n_max=14)
+def test_rd_estimate_equals_enumerated_total(d, n_max):
+    assert estimate_rd_enumeration(d, n_max) == sum(count_rd_upto(d, n_max))
+
+
+@SETTINGS
+@given(d=st.integers(1, 3), n=st.integers(1, 3), order=st.integers(1, 14),
+       rho=st.integers(0, 2))
+@example(d=1, n=1, order=1, rho=0)
+@example(d=3, n=3, order=14, rho=0)
+@example(d=1, n=1, order=14, rho=2)
+def test_ddn_estimate_equals_enumerated_total(d, n, order, rho):
+    base = rho * ((n + 1) + d * n)
+    shifted = series_Ddn_shifted(d, n, rho, order)
+    assert estimate_ddn_enumeration(d, n, order - base) == \
+        sum(shifted.coeffs)
+    if rho == 0:
+        assert estimate_ddn_enumeration(d, n, order) == \
+            sum(series_Ddn_bruteforce(d, n, order).coeffs)
+
+
+@SETTINGS
+@given(d=st.integers(1, 6), n_max=st.integers(-1, 60),
+       n=st.integers(0, 4), order=st.integers(-1, 40))
+@example(d=1, n_max=60, n=4, order=40)
+@example(d=6, n_max=60, n=1, order=40)
+@example(d=2, n_max=1, n=0, order=1)
+def test_estimates_match_cell_recursion(d, n_max, n, order):
+    rd, ddn = recursive_estimates(d)
+    assert estimate_rd_enumeration(d, n_max) == rd(n_max)
+    assert estimate_ddn_enumeration(d, n, order) == ddn(n, order)
+
+
+def test_large_refusal_needs_no_recursion():
+    # a cell-by-cell recursion exceeds Python's recursion limit here
+    with pytest.raises(BudgetError, match="count_rd"):
+        count_rd_upto(1, 800)
+
+
+@SETTINGS
+@given(d=st.integers(1, 4), n_max=st.integers(0, 9))
+@example(d=4, n_max=9)
+def test_count_sd_upto_matches_raw_and_chain_product(d, n_max):
+    got = count_sd_upto(d, n_max)
+    assert got == [chain_product_sd(d, n) for n in range(n_max + 1)]
+    assert got == [count_sd_raw(d, n) for n in range(n_max + 1)]
+    assert count_sd(d, n_max) == got[n_max]
+
+
+def test_sd_estimate_counts_visited_chains():
+    for n_max in range(0, 26):
+        # with d = 0 every visited chain prefix closes exactly one diamond
+        # of count 1, so the returned total is the number of visits
+        visited = sum(count_sd_upto(0, n_max))
+        assert estimate_sd_enumeration(n_max) == visited
+        assert visited == sum(brute_partition_count(n)
+                              for n in range(n_max + 1))
+
+
+def test_sd_budget_guard_and_env_override(monkeypatch):
+    with pytest.raises(BudgetError, match="count_sd"):
+        count_sd_upto(1, 30, budget=10)
+    with pytest.raises(BudgetError):
+        count_sd(2, 30, budget=10)
+    monkeypatch.setenv("DIAMOND_BUDGET", "10")
+    with pytest.raises(BudgetError):
+        count_sd_upto(1, 30)
+    monkeypatch.delenv("DIAMOND_BUDGET")
+    # the estimate is exact, so a budget of exactly that size passes
+    assert count_sd_upto(1, 30, budget=estimate_sd_enumeration(30))[30] \
+        == count_sd(1, 30)
+
+
+def test_negative_width_is_rejected():
+    for call in (lambda: estimate_rd_enumeration(-1, 5),
+                 lambda: estimate_ddn_enumeration(-1, 2, 5),
+                 lambda: count_rd_upto(-1, 5),
+                 lambda: series_Ddn_bruteforce(-1, 2, 5),
+                 lambda: count_sd_upto(-1, 5)):
+        with pytest.raises(ValueError, match="fan width"):
+            call()
