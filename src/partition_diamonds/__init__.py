@@ -13,9 +13,6 @@ from .series import (
     pentagonal_series,
     product_family,
     reduce_mod,
-    ts_invert,
-    ts_mul,
-    ts_pow,
 )
 from .polynomials import (
     BivariatePolynomial,

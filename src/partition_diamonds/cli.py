@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
 from itertools import product
 
 from .congruences import (builtin_claims, claim_by_label,
@@ -39,38 +38,6 @@ IDENTITY_NAMES = ("eulerian", "euler-factor", "pentagonal", "jacobi",
                   "mersmann", "omega", "crude")
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation; unset fields keep their defaults."""
-
-    command: str
-    d: int | None = None
-    n: int | None = None
-    N: int = 100
-    m: int | None = None
-    M_max: int | None = None
-    k_max: int = 2
-    n_max: int = 40
-    mod: int | None = None
-    series: str | None = None
-    kind: str | None = None
-    only: str | None = None
-    claim: str | None = None
-    all: bool = False
-    list: bool = False
-    d_max: int = 12
-    instances: int = 200
-    min_support: int = 10
-    format: str = "json"
-    seed: int = DEFAULT_SEED
-    budget: int | None = None
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in vars(ns).items() if k in known})
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdiamonds",
@@ -79,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv", "plain"),
                        default="json")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -94,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100, help="truncation order")
     p.add_argument("--mod", type=int, default=None,
                    help="reduce coefficients mod m")
-    common(p)
+    common(p, cmd_coeffs)
 
     p = sub.add_parser("identities", help="run the identity check suite")
     p.add_argument("--only", choices=IDENTITY_NAMES, default=None)
@@ -102,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--instances", type=int, default=200,
                    help="random elimination instances")
-    common(p)
+    common(p, cmd_identities)
 
     p = sub.add_parser("oracle", help="closed form vs raw enumeration")
     p.add_argument("--kind", choices=("rd", "sd", "ddn"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="length (ddn only)")
     p.add_argument("--N", type=int, default=20)
-    common(p)
+    common(p, cmd_oracle)
 
     p = sub.add_parser("verify", help="verify congruence claims")
     group = p.add_mutually_exclusive_group(required=True)
@@ -120,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list builtin claim labels")
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--n-max", type=int, default=40)
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("scan", help="search a series for zero progressions")
     p.add_argument("--series", choices=("rd", "sd"), default="sd")
@@ -129,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M-max", type=int, required=True, dest="M_max")
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--min-support", type=int, default=10)
-    common(p)
+    common(p, cmd_scan)
 
     return parser
 
@@ -138,21 +106,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Output helpers
 # ---------------------------------------------------------------------
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(payload, fmt: str = "json", header=(), rows=(),
+          plain_width: int | None = None) -> None:
+    """Print `payload` as JSON, or `rows` as CSV under `header`, or as plain
+    space-separated lines of their first `plain_width` columns.
 
-
-def _emit_coeff_table(series: TruncatedSeries, fmt: str) -> None:
+    Commands without a table (identities, oracle) always print JSON.
+    """
     if fmt == "json":
-        _emit_json(series_to_json_dict(series))
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(["index", "coefficient"])
-        for i, c in enumerate(series.coeffs):
-            writer.writerow([i, str(c)])
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        for i, c in enumerate(series.coeffs):
-            print(f"{i} {c}")
+        for row in rows:
+            print(*row[:plain_width])
 
 
 # ---------------------------------------------------------------------
@@ -162,24 +131,27 @@ def _emit_coeff_table(series: TruncatedSeries, fmt: str) -> None:
 MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
 
 
-def _check_d(cfg: RunConfig) -> None:
-    if cfg.d is not None and cfg.d > MAX_CLI_D:
+def _check_d(args: argparse.Namespace) -> None:
+    if args.d < 1:
+        raise UsageError(f"--d must be >= 1, got {args.d}")
+    if args.d > MAX_CLI_D:
         raise UsageError(f"--d is capped at {MAX_CLI_D}")
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    _check_d(cfg)
-    if cfg.series == "ddn":
-        if cfg.n is None:
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    _check_d(args)
+    if args.series == "ddn":
+        if args.n is None:
             raise UsageError("--series ddn requires --n")
-        series = ddn_series_closed(cfg.d, cfg.n, cfg.N)
-    elif cfg.series == "rd":
-        series = rd_series(cfg.d, cfg.N)
+        series = ddn_series_closed(args.d, args.n, args.N)
+    elif args.series == "rd":
+        series = rd_series(args.d, args.N)
     else:
-        series = sd_series(cfg.d, cfg.N)
-    if cfg.mod is not None:
-        series = reduce_mod(series, cfg.mod)
-    _emit_coeff_table(series, cfg.format)
+        series = sd_series(args.d, args.N)
+    if args.mod is not None:
+        series = reduce_mod(series, args.mod)
+    _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
+          ((i, str(c)) for i, c in enumerate(series.coeffs)))
     return 0
 
 
@@ -244,119 +216,99 @@ def _check_crude(order: int = 15) -> dict:
             "detail": {"order": order, "failures": bad}}
 
 
-def cmd_identities(cfg: RunConfig) -> int:
+def cmd_identities(args: argparse.Namespace) -> int:
     runners = {
-        "eulerian": lambda: _check_eulerian(cfg.d_max),
-        "euler-factor": lambda: _check_euler_factor(min(cfg.N, 60)),
-        "pentagonal": lambda: _check_pentagonal(cfg.N),
-        "jacobi": lambda: _check_jacobi(cfg.N),
-        "mersmann": lambda: _check_mersmann(cfg.N),
-        "omega": lambda: _check_omega(cfg.instances, cfg.seed),
+        "eulerian": lambda: _check_eulerian(args.d_max),
+        "euler-factor": lambda: _check_euler_factor(min(args.N, 60)),
+        "pentagonal": lambda: _check_pentagonal(args.N),
+        "jacobi": lambda: _check_jacobi(args.N),
+        "mersmann": lambda: _check_mersmann(args.N),
+        "omega": lambda: _check_omega(args.instances, args.seed),
         "crude": lambda: _check_crude(),
     }
-    names = [cfg.only] if cfg.only else list(IDENTITY_NAMES)
+    names = [args.only] if args.only else list(IDENTITY_NAMES)
     checks = [runners[name]() for name in names]
     passed = all(c["passed"] for c in checks)
-    _emit_json({"checks": checks, "passed": passed})
+    _emit({"checks": checks, "passed": passed})
     return 0 if passed else 1
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    _check_d(cfg)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    _check_d(args)
     mismatches = []
     # the guarded enumeration runs first, so a refused job builds no series
-    if cfg.kind == "ddn":
-        if cfg.n is None:
+    if args.kind == "ddn":
+        if args.n is None:
             raise UsageError("--kind ddn requires --n")
-        counts = series_Ddn_bruteforce(cfg.d, cfg.n, cfg.N, cfg.budget).coeffs
-        closed = ddn_series_closed(cfg.d, cfg.n, cfg.N)
-    elif cfg.kind == "rd":
-        counts = count_rd_upto(cfg.d, cfg.N - 1, cfg.budget)
-        closed = rd_series(cfg.d, cfg.N)
+        counts = series_Ddn_bruteforce(args.d, args.n, args.N,
+                                       args.budget).coeffs
+        closed = ddn_series_closed(args.d, args.n, args.N)
+    elif args.kind == "rd":
+        counts = count_rd_upto(args.d, args.N - 1, args.budget)
+        closed = rd_series(args.d, args.N)
     else:
-        counts = count_sd_upto(cfg.d, cfg.N - 1, cfg.budget)
-        closed = sd_series(cfg.d, cfg.N)
+        counts = count_sd_upto(args.d, args.N - 1, args.budget)
+        closed = sd_series(args.d, args.N)
     for n, (got, want) in enumerate(zip(closed.coeffs, counts)):
         if got != want:
             mismatches.append({"index": n, "closed_form": str(got),
                                "enumeration": str(want)})
-    report = {"kind": cfg.kind, "d": cfg.d, "N": cfg.N,
+    report = {"kind": args.kind, "d": args.d, "N": args.N,
               "equal": not mismatches, "mismatches": mismatches}
-    if cfg.kind == "ddn":
-        report["n"] = cfg.n
-    _emit_json(report)
+    if args.kind == "ddn":
+        report["n"] = args.n
+    _emit(report)
     return 0 if not mismatches else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.list:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.list:
         for claim in builtin_claims():
             kind = "conjecture" if claim.conjectural else "theorem"
             print(f"{claim.label}  ({kind})")
         return 0
-    if cfg.claim is not None:
+    if args.claim is not None:
         try:
-            claims = [claim_by_label(cfg.claim)]
+            claims = [claim_by_label(args.claim)]
         except KeyError as exc:
             raise UsageError(str(exc)) from None
     else:
         claims = list(builtin_claims())
-    reports = [verify_claim(c, cfg.k_max, cfg.n_max, cfg.budget)
+    reports = [verify_claim(c, args.k_max, args.n_max, args.budget)
                for c in claims]
     dicts = [report_to_json_dict(r) for r in reports]
-    if cfg.format == "csv":
-        writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(["label", "status", "witness_d", "witness_index",
-                         "witness_value"])
-        for d in dicts:
-            w = d["witness"] or {}
-            writer.writerow([d["claim"]["label"], d["status"],
-                             str(w.get("d", "")), str(w.get("index", "")),
-                             str(w.get("value", ""))])
-    elif cfg.format == "plain":
-        for d in dicts:
-            print(f"{d['claim']['label']} {d['status']}")
-    else:
-        _emit_json({"reports": dicts})
+    rows = []
+    for d in dicts:
+        w = d["witness"] or {}
+        rows.append([d["claim"]["label"], d["status"], str(w.get("d", "")),
+                     str(w.get("index", "")), str(w.get("value", ""))])
+    # plain output is "label status" only
+    _emit({"reports": dicts}, args.format,
+          ("label", "status", "witness_d", "witness_index", "witness_value"),
+          rows, plain_width=2)
     ok = all(r.status == "verified_up_to_bounds" for r in reports)
     return 0 if ok else 1
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    _check_d(cfg)
-    ring = RingSpec(cfg.m)
-    if cfg.series == "sd":
-        series = sd_series(cfg.d, cfg.N, ring)
+def cmd_scan(args: argparse.Namespace) -> int:
+    _check_d(args)
+    ring = RingSpec(args.m)
+    if args.series == "sd":
+        series = sd_series(args.d, args.N, ring)
     else:
-        series = rd_series(cfg.d, cfg.N, ring)
-    found = scan_progressions(series, cfg.M_max, cfg.min_support)
-    if cfg.format == "csv":
-        writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(["M", "r"])
-        for M, r in found:
-            writer.writerow([M, r])
-    elif cfg.format == "plain":
-        for M, r in found:
-            print(f"{M} {r}")
-    else:
-        _emit_json({"series": cfg.series, "d": cfg.d, "m": cfg.m,
-                    "M_max": cfg.M_max, "N": cfg.N,
-                    "progressions": [{"M": M, "r": r} for M, r in found]})
+        series = rd_series(args.d, args.N, ring)
+    found = scan_progressions(series, args.M_max, args.min_support)
+    _emit({"series": args.series, "d": args.d, "m": args.m,
+           "M_max": args.M_max, "N": args.N,
+           "progressions": [{"M": M, "r": r} for M, r in found]},
+          args.format, ("M", "r"), found)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    cfg = RunConfig.from_namespace(parser.parse_args(argv))
-    handlers = {
-        "coeffs": cmd_coeffs,
-        "identities": cmd_identities,
-        "oracle": cmd_oracle,
-        "verify": cmd_verify,
-        "scan": cmd_scan,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[cfg.command](cfg)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

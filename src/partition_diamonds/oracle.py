@@ -5,25 +5,30 @@ nodes b_{k,1..d} wedged between consecutive links; every value is a
 non-negative integer and a_{k-1} >= b_{k,j} >= a_k for each fan node.  The
 chain inequalities force the links to be weakly decreasing, so a diamond of
 finite weight has finite support, and we identify unbounded-length diamonds
-with their support: trailing all-zero cells are quotiented away.  Counting
-therefore fixes a long-enough chain and stops as soon as a link hits zero.
+with their support: trailing all-zero cells are quotiented away.
 
-Everything here enumerates explicitly: count_rd_upto and the fixed-shape
-series iterate every node value, count_sd_upto iterates every link chain
-and multiplies out the independent fan choices of its cells, and
-count_sd_raw iterates those fan values too.  This module is the
-ground-truth oracle the closed-form generating functions are tested
-against, so it must not reuse the algebra it is checking: it takes nothing
-from genfun or polynomials, and from series only the TruncatedSeries
-return type.
+Everything here enumerates explicitly.  One recursive enumerator serves
+count_rd_upto (free length), series_Ddn_bruteforce (n cells) and
+series_Ddn_shifted (n cells, every node >= rho): it iterates every link and
+fan value, and a diamond is complete once its cell count is reached or its
+last link is 0.  With floor 0 a zero link forces every later node to 0, so
+that one stop is the support quotient for free length, and for a fixed
+shape it counts the forced zero tail once instead of walking it cell by
+cell.  count_sd_upto iterates every link chain and multiplies out the
+independent fan choices of its cells, and count_sd_raw iterates those fan
+values too.  This module is the ground-truth oracle the closed-form
+generating functions are tested against, so it must not reuse the algebra
+it is checking: it takes nothing from genfun or polynomials, and from
+series only the TruncatedSeries return type.
 
 Every enumerator first runs the budget guard: an exact count of what it is
 about to visit (diamonds for rd and ddn, link chain prefixes for sd),
-computed before any enumeration.  The rd and ddn estimators are iterative
-sweeps over weight vectors, one per link value, O(d N^2) for free length
-and O(d n N^2) for a fixed shape; the sd estimator is the partition coin
-DP.  They only decide whether an enumeration is affordable, never what it
-returns.
+computed before any enumeration.  The stop at a zero link changes no
+count, so each estimate still equals the total enumerated.  The rd and ddn
+estimators are iterative sweeps over weight vectors, one per link value,
+O(d N^2) for free length and O(d n N^2) for a fixed shape; the sd
+estimator is the partition coin DP.  They only decide whether an
+enumeration is affordable, never what it returns.
 """
 
 from __future__ import annotations
@@ -276,44 +281,60 @@ def estimate_sd_enumeration(n_max: int) -> int:
 
 
 # ---------------------------------------------------------------------
-# Unbounded-length counts
+# The enumerator
 # ---------------------------------------------------------------------
 
-def count_rd_upto(d: int, n_max: int, budget: int | None = None) -> list:
-    """[r_d(0), ..., r_d(n_max)] by one exhaustive enumeration pass.
+def _enumerate(d: int, cells: int | None, rho: int, top: int) -> list:
+    """Diamonds of weight <= top with every node >= rho, counted by weight.
 
-    Enumerates links first, then fan values one by one within
-    [a_k, a_{k-1}], pruning on the remaining weight.  Each finite-support
-    diamond of weight <= n_max is visited exactly once.
+    Chooses the links a_0, a_1, ... in turn, then the d fan values of each
+    cell one by one within [a_k, a_{k-1}], pruning on the remaining weight.
+    A diamond is complete after `cells` cells (None: free length), or as
+    soon as a link is 0: with rho = 0 every later node is forced to 0, so
+    the zero tail is one completion of the same weight.
     """
-    if n_max < 0:
-        raise ValueError("weight must be >= 0")
-    _check_budget(estimate_rd_enumeration(d, n_max), budget,
-                  f"count_rd(d={d}, n<={n_max})")
-    counts = [0] * (n_max + 1)
+    _check_width(d)
+    counts = [0] * (top + 1)
+    depth = 0  # cells chosen on the current path
 
-    def next_cell(a_prev: int, used: int):
-        if a_prev == 0:
+    def cell(a_prev: int, used: int):
+        nonlocal depth
+        if a_prev == 0 or depth == cells:
             counts[used] += 1
             return
-        # choosing link a costs at least a + d*a (fans are >= a)
-        for a in range(min(a_prev, (n_max - used) // (d + 1)) + 1):
+        depth += 1
+        # link a costs at least a + d*a (fans are >= a)
+        for a in range(rho, min(a_prev, (top - used) // (d + 1)) + 1):
             fans(a_prev, a, used + a, d)
+        depth -= 1
 
     def fans(hi: int, a: int, used: int, left: int):
         if left == 0:
-            next_cell(a, used)
+            cell(a, used)
             return
         floor = a * (left - 1)  # fans after this one each cost at least a
         for b in range(a, hi + 1):
             u = used + b
-            if u + floor > n_max:
+            if u + floor > top:
                 break
             fans(hi, a, u, left - 1)
 
-    for a0 in range(n_max + 1):
-        next_cell(a0, a0)
+    for a0 in range(rho, top + 1):
+        cell(a0, a0)
     return counts
+
+
+# ---------------------------------------------------------------------
+# Unbounded-length counts
+# ---------------------------------------------------------------------
+
+def count_rd_upto(d: int, n_max: int, budget: int | None = None) -> list:
+    """[r_d(0), ..., r_d(n_max)]: every diamond of weight <= n_max, once."""
+    if n_max < 0:
+        raise ValueError("weight must be >= 0")
+    _check_budget(estimate_rd_enumeration(d, n_max), budget,
+                  f"count_rd(d={d}, n<={n_max})")
+    return _enumerate(d, None, 0, n_max)
 
 
 def count_rd(d: int, n: int, budget: int | None = None) -> int:
@@ -399,38 +420,15 @@ def series_Ddn_bruteforce(d: int, n: int, order: int,
                           budget: int | None = None) -> TruncatedSeries:
     """Weight generating series of shape-(d, n) diamonds, coefficients < order.
 
-    All n cells are materialized (no support quotient here: the shape is
-    fixed), every node value is iterated, and configurations are bucketed
-    by total node sum.
+    The shape is fixed, so there is no support quotient: a diamond whose
+    link drops to 0 before cell n still has its n cells, all forced to 0.
     """
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
     _check_budget(estimate_ddn_enumeration(d, n, order), budget,
                   f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
-    counts = [0] * order
-    top = order - 1
-
-    def cell(k: int, a_prev: int, used: int):
-        if k == n:
-            counts[used] += 1
-            return
-        for a in range(min(a_prev, (top - used) // (d + 1)) + 1):
-            fans(k, a_prev, a, used + a, d)
-
-    def fans(k: int, hi: int, a: int, used: int, left: int):
-        if left == 0:
-            cell(k + 1, a, used)
-            return
-        floor = a * (left - 1)
-        for b in range(a, hi + 1):
-            u = used + b
-            if u + floor > top:
-                break
-            fans(k, hi, a, u, left - 1)
-
-    for a0 in range(order):
-        cell(0, a0, a0)
-    return TruncatedSeries.from_coeffs(counts, ring=ZZ)
+    return TruncatedSeries.from_coeffs(_enumerate(d, n, 0, order - 1),
+                                       ring=ZZ)
 
 
 def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
@@ -443,8 +441,6 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
     """
     if rho < 0:
         raise ValueError("shift must be >= 0")
-    if rho == 0:
-        return series_Ddn_bruteforce(d, n, order, budget)
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
     # the all-rho diamond is the lightest; reuse the unshifted estimator
@@ -452,29 +448,5 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
     if base < order:
         _check_budget(estimate_ddn_enumeration(d, n, order - base), budget,
                       f"series_Ddn_shifted(d={d}, n={n}, rho={rho})")
-    counts = [0] * order
-    top = order - 1
-
-    def cell(k: int, a_prev: int, used: int):
-        if k == n:
-            counts[used] += 1
-            return
-        for a in range(rho, a_prev + 1):
-            if used + a + d * a > top:
-                break
-            fans(k, a_prev, a, used + a, d)
-
-    def fans(k: int, hi: int, a: int, used: int, left: int):
-        if left == 0:
-            cell(k + 1, a, used)
-            return
-        floor = a * (left - 1)
-        for b in range(a, hi + 1):
-            u = used + b
-            if u + floor > top:
-                break
-            fans(k, hi, a, u, left - 1)
-
-    for a0 in range(rho, order):
-        cell(0, a0, a0)
-    return TruncatedSeries.from_coeffs(counts, ring=ZZ)
+    return TruncatedSeries.from_coeffs(_enumerate(d, n, rho, order - 1),
+                                       ring=ZZ)

@@ -29,9 +29,6 @@ __all__ = [
     "RingSpec",
     "ZZ",
     "TruncatedSeries",
-    "ts_mul",
-    "ts_invert",
-    "ts_pow",
     "product_family",
     "pentagonal_series",
     "jacobi_cube_series",
@@ -256,25 +253,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))
-
-
-# ---------------------------------------------------------------------
-# Named operation surface
-# ---------------------------------------------------------------------
-
-def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
-    return a * b
-
-
-def ts_invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Series inverse; requires a unit constant term."""
-    return a.inverse()
-
-
-def ts_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """Integer power; negative exponents invert first, e == 0 gives 1."""
-    return a ** e
 
 
 def product_family(factor_at: Callable[[int], TruncatedSeries], order: int,

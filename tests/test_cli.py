@@ -1,8 +1,10 @@
 """CLI surface: flags, output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,21 @@ def test_oracle_negative_width_exit_2(capsys, kind):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", ["rd", "sd", "ddn"])
+def test_oracle_zero_width_exit_2_before_any_work(capsys, monkeypatch, kind):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated or built a series for --d 0")
+
+    for name in ("count_rd_upto", "count_sd_upto", "series_Ddn_bruteforce",
+                 "rd_series", "sd_series", "ddn_series_closed"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "0",
+                             "--n", "2", "--N", "60")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_oracle_sd_honours_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "oracle", "--kind", "sd", "--d", "1",
                              "--N", "1200", "--budget", "10")
@@ -234,3 +251,47 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0 1", "1 2", "2 5"]
+
+
+# Stored stdout digests of the benchmark jobs; read only.  Each command in
+# every format it prints (identities and oracle print JSON only), a reduced
+# table and one refused oracle job.
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "references.json"
+GOLDEN_KEYS = [
+    f"coeffs --series {series} --format {fmt}"
+    for series in ("rd --d 1 --N 200", "ddn --d 4 --n 2 --N 1000")
+    for fmt in ("json", "csv", "plain")
+] + [
+    "coeffs --series rd --d 2 --N 40 --mod 3",
+    "coeffs --series rd --d 4 --N 250 --format csv --mod 7",
+    "coeffs --series rd --d 4 --N 250 --format plain --mod 5",
+] + [
+    f"verify --claim mod5_4k1_r3 --k-max 0 --n-max 10 --format {fmt}"
+    for fmt in ("json", "csv", "plain")
+] + [
+    f"scan --d 1 --m 2 --M-max 20 --N 200 --format {fmt}"
+    for fmt in ("json", "csv", "plain")
+] + [
+    "scan --d 2 --m 3 --M-max 6 --N 60",
+    "identities --only eulerian --d-max 12",
+    "identities --only jacobi --N 100",
+    "oracle --kind rd --d 1 --N 12",
+    "oracle --kind sd --d 1 --N 12",
+    "oracle --kind ddn --d 1 --n 2 --N 12",
+    "oracle --kind rd --d 1 --N 161",  # refused: exit 2, empty stdout
+]
+
+
+@pytest.fixture(scope="module")
+def references():
+    return json.loads(REFERENCES.read_text())["jobs"]
+
+
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_stdout_matches_stored_digest(capsys, monkeypatch, references, key):
+    monkeypatch.delenv("DIAMOND_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, *key.split())
+    assert code == references[key]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        references[key]["sha256"]

@@ -1,23 +1,25 @@
 """Closed-form generating functions against the enumeration oracle."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partition_diamonds.genfun import (
     ddn_series_closed, mersmann_F_series, rd_series, sd_series,
     sd_series_factorwise,
 )
 from partition_diamonds.oracle import (
-    count_rd_upto, count_sd, series_Ddn_bruteforce,
+    count_rd_upto, count_sd, count_sd_upto, series_Ddn_bruteforce,
 )
 from partition_diamonds.series import (
-    RingSpec, TruncatedSeries, ZZ, pentagonal_series, reduce_mod, ts_invert,
+    RingSpec, TruncatedSeries, ZZ, pentagonal_series, reduce_mod,
 )
 
 
 def test_rd_d1_is_partition_series():
     assert rd_series(1, 8).coeffs == (1, 1, 2, 3, 5, 7, 11, 15)
     # same thing through the pentagonal expansion
-    assert rd_series(1, 500) == ts_invert(pentagonal_series(500))
+    assert rd_series(1, 500) == pentagonal_series(500).inverse()
 
 
 def test_rd_small_values():
@@ -82,6 +84,44 @@ def test_ddn_closed_matches_bruteforce(d, n):
     order = 12
     assert ddn_series_closed(d, n, order) == \
         series_Ddn_bruteforce(d, n, order)
+
+
+# -- closed forms against the oracles on random small (d, N), also mod m ---
+
+DIFFERENTIAL = settings(max_examples=25, deadline=None)
+
+
+@DIFFERENTIAL
+@given(d=st.integers(1, 4), order=st.integers(1, 24), m=st.integers(2, 12))
+@example(d=1, order=1, m=2)
+@example(d=4, order=24, m=12)
+def test_rd_series_differential(d, order, m):
+    counts = TruncatedSeries.from_coeffs(count_rd_upto(d, order - 1))
+    assert rd_series(d, order) == counts
+    assert rd_series(d, order, RingSpec(m)) == reduce_mod(counts, m)
+
+
+@DIFFERENTIAL
+@given(d=st.integers(1, 6), order=st.integers(1, 30), m=st.integers(2, 12))
+@example(d=1, order=1, m=2)
+@example(d=6, order=30, m=7)
+def test_sd_series_differential(d, order, m):
+    counts = TruncatedSeries.from_coeffs(count_sd_upto(d, order - 1))
+    assert sd_series(d, order) == counts
+    assert sd_series(d, order, RingSpec(m)) == reduce_mod(counts, m)
+
+
+@DIFFERENTIAL
+@given(d=st.integers(1, 3), n=st.integers(1, 4), order=st.integers(1, 20),
+       m=st.integers(2, 12))
+@example(d=1, n=1, order=1, m=2)
+@example(d=3, n=1, order=20, m=5)
+@example(d=1, n=8, order=20, m=3)  # most diamonds end in zero links
+def test_ddn_series_differential(d, n, order, m):
+    counts = series_Ddn_bruteforce(d, n, order)
+    closed = ddn_series_closed(d, n, order)
+    assert closed == counts
+    assert reduce_mod(closed, m) == reduce_mod(counts, m)
 
 
 def test_mersmann_identity():

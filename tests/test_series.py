@@ -13,7 +13,6 @@ import pytest
 from partition_diamonds.series import (
     RingSpec, TruncatedSeries, ZZ, jacobi_cube_series, pentagonal_series,
     product_family, reduce_mod, series_from_json_dict, series_to_json_dict,
-    ts_invert, ts_mul, ts_pow,
 )
 
 
@@ -50,81 +49,81 @@ def fibonacci(k):
 def test_mul_difference_of_squares():
     a = S({0: 1, 1: 1}, 5)
     b = S({0: 1, 1: -1}, 5)
-    assert ts_mul(a, b).coeffs == (1, 0, -1, 0, 0)
+    assert (a * b).coeffs == (1, 0, -1, 0, 0)
 
 
 def test_mul_identity():
     s = S({0: 3, 2: -7, 4: 11}, 6)
-    assert ts_mul(s, TruncatedSeries.one(6)) == s
+    assert s * TruncatedSeries.one(6) == s
 
 
 def test_mul_geometric_telescopes():
-    assert ts_mul(geometric(10), S({0: 1, 1: -1}, 10)).coeffs == \
+    assert (geometric(10) * S({0: 1, 1: -1}, 10)).coeffs == \
         (1,) + (0,) * 9
 
 
 def test_mul_truncates_to_min_order():
     a = geometric(10)
     b = geometric(4)
-    assert ts_mul(a, b).order == 4
+    assert (a * b).order == 4
 
 
 def test_mul_ring_mismatch_rejected():
     a = TruncatedSeries.one(4)
     b = TruncatedSeries.one(4, RingSpec(5))
     with pytest.raises(ValueError, match="ring mismatch"):
-        ts_mul(a, b)
+        a * b
 
 
 # -- inversion ----------------------------------------------------------
 
 def test_invert_one_minus_q():
-    assert ts_invert(S({0: 1, 1: -1}, 6)).coeffs == (1, 1, 1, 1, 1, 1)
+    assert S({0: 1, 1: -1}, 6).inverse().coeffs == (1, 1, 1, 1, 1, 1)
 
 
 def test_invert_one():
-    assert ts_invert(TruncatedSeries.one(4)) == TruncatedSeries.one(4)
+    assert TruncatedSeries.one(4).inverse() == TruncatedSeries.one(4)
 
 
 def test_invert_fibonacci():
-    got = ts_invert(S({0: 1, 1: -1, 2: -1}, 7))
+    got = S({0: 1, 1: -1, 2: -1}, 7).inverse()
     assert got.coeffs == tuple(fibonacci(k) for k in range(7))
     assert got.coeffs == (1, 1, 2, 3, 5, 8, 13)
 
 
 def test_invert_nonunit_rejected():
     with pytest.raises(ValueError, match="unit"):
-        ts_invert(S({0: 2, 1: 1}, 4))
+        S({0: 2, 1: 1}, 4).inverse()
     with pytest.raises(ValueError, match="invertible"):
-        ts_invert(S({0: 5, 1: 1}, 4, RingSpec(10)))
+        S({0: 5, 1: 1}, 4, RingSpec(10)).inverse()
 
 
 def test_invert_mod_ring():
     s = S({0: 3, 1: 1}, 5, RingSpec(7))
-    assert ts_mul(s, ts_invert(s)) == TruncatedSeries.one(5, RingSpec(7))
+    assert s * s.inverse() == TruncatedSeries.one(5, RingSpec(7))
 
 
 # -- powers -------------------------------------------------------------
 
 def test_pow_negative_binomial():
-    got = ts_pow(S({0: 1, 1: -1}, 5), -2)
+    got = S({0: 1, 1: -1}, 5) ** -2
     assert got.coeffs == tuple(math.comb(n + 1, 1) for n in range(5))
 
 
 def test_pow_zero_gives_one():
     s = S({0: 9, 3: 4}, 6)
-    assert ts_pow(s, 0) == TruncatedSeries.one(6)
+    assert s ** 0 == TruncatedSeries.one(6)
 
 
 def test_pow_cube():
-    assert ts_pow(S({0: 1, 1: -1}, 5), 3).coeffs == (1, -3, 3, -1, 0)
+    assert (S({0: 1, 1: -1}, 5) ** 3).coeffs == (1, -3, 3, -1, 0)
 
 
 # -- product_family -----------------------------------------------------
 
 def test_product_family_partition_numbers():
     got = product_family(
-        lambda n: ts_invert(S({0: 1, n: -1}, 8)), 8)
+        lambda n: S({0: 1, n: -1}, 8).inverse(), 8)
     assert got.coeffs == tuple(brute_partition_count(n) for n in range(8))
     assert got.coeffs == (1, 1, 2, 3, 5, 7, 11, 15)
 
@@ -167,7 +166,7 @@ def test_jacobi_cube_values():
 
 def test_jacobi_matches_pentagonal_cubed():
     n = 200
-    assert jacobi_cube_series(n) == ts_pow(pentagonal_series(n), 3)
+    assert jacobi_cube_series(n) == pentagonal_series(n) ** 3
 
 
 # -- reduction ----------------------------------------------------------
@@ -204,9 +203,9 @@ def test_ring_axioms_random_trials():
         a = random_series(rng, order=n)
         b = random_series(rng, order=n)
         c = random_series(rng, order=n)
-        assert ts_mul(a, b) == ts_mul(b, a)
-        assert ts_mul(ts_mul(a, b), c) == ts_mul(a, ts_mul(b, c))
-        assert ts_mul(a, b + c) == ts_mul(a, b) + ts_mul(a, c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
 
 
 def test_mul_invert_roundtrip_random():
@@ -216,7 +215,7 @@ def test_mul_invert_roundtrip_random():
         coeffs = [rng.choice([1, -1])] + \
             [rng.randint(-50, 50) for _ in range(39)]
         a = TruncatedSeries.from_coeffs(coeffs)
-        assert ts_mul(a, ts_invert(a)) == one
+        assert a * a.inverse() == one
 
 
 def test_reduce_commutes_with_mul_and_pow():
@@ -225,10 +224,10 @@ def test_reduce_commutes_with_mul_and_pow():
         m = rng.choice([2, 3, 5, 8, 11, 64])
         a = random_series(rng, max_order=24)
         b = random_series(rng, max_order=24, order=a.order)
-        assert reduce_mod(ts_mul(a, b), m) == \
-            ts_mul(reduce_mod(a, m), reduce_mod(b, m))
+        assert reduce_mod(a * b, m) == \
+            reduce_mod(a, m) * reduce_mod(b, m)
         e = rng.randint(0, 4)
-        assert reduce_mod(ts_pow(a, e), m) == ts_pow(reduce_mod(a, m), e)
+        assert reduce_mod(a ** e, m) == reduce_mod(a, m) ** e
 
 
 # -- serialization -------------------------------------------------------
