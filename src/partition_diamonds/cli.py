@@ -3,7 +3,8 @@ cross-validation, congruence verification, and progression scanning.
 
 Exit codes are strict: 0 means success (or all claims verified/held),
 1 means a mathematical counterexample or failed identity, 2 means a usage
-or budget error.  All randomized checks take --seed and default to a fixed
+or budget error, or (from the pdiamonds script) a reader that closed stdout
+early.  All randomized checks take --seed and default to a fixed
 value, so identical invocations produce byte-identical output.  The
 environment variable DIAMOND_BUDGET overrides the enumeration work guard.
 """
@@ -11,8 +12,8 @@ environment variable DIAMOND_BUDGET overrides the enumeration work guard.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from itertools import product
 
@@ -46,10 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler):
+    def common(p, handler, formats=("json", "csv", "plain")):
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json", "csv", "plain"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration work guard (default 1e9 or "
@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--instances", type=int, default=200,
                    help="random elimination instances")
-    common(p, cmd_identities)
+    common(p, cmd_identities, formats=("json",))
 
     p = sub.add_parser("oracle", help="closed form vs raw enumeration")
     p.add_argument("--kind", choices=("rd", "sd", "ddn"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="length (ddn only)")
     p.add_argument("--N", type=int, default=20)
-    common(p, cmd_oracle)
+    common(p, cmd_oracle, formats=("json",))
 
     p = sub.add_parser("verify", help="verify congruence claims")
     group = p.add_mutually_exclusive_group(required=True)
@@ -111,11 +111,12 @@ def _emit(payload, fmt: str = "json", header=(), rows=(),
     """Print `payload` as JSON, or `rows` as CSV under `header`, or as plain
     space-separated lines of their first `plain_width` columns.
 
-    Commands without a table (identities, oracle) always print JSON.
+    Commands without a table (identities, oracle) accept only JSON.
     """
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
+        import csv  # only csv jobs pay for this import
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(header)
         writer.writerows(rows)
@@ -321,7 +322,15 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,11 @@ reduced series for arithmetic progressions of zero coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .genfun import sd_series
 from .oracle import BudgetError, enumeration_budget
-from .series import MODULUS_LIMIT, RingSpec, TruncatedSeries
+from .series import MODULUS_LIMIT, Record, RingSpec, TruncatedSeries
 
 __all__ = [
     "CongruenceClaim",
@@ -44,35 +43,39 @@ CLAIM_MODULUS_LIMIT = MODULUS_LIMIT >> 1
 MAX_POW2_D = CLAIM_MODULUS_LIMIT.bit_length() - 2
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(Record):
     """s_{d_stride*k + d_offset}(prog_modulus*n + residue) == 0 (mod modulus)."""
 
-    d_stride: int
-    d_offset: int
-    prog_modulus: int
-    residue: int
-    modulus: int | None = None
-    power_of_two_in_d: bool = False
-    conjectural: bool = False
-    label: str = ""
+    __slots__ = ("d_stride", "d_offset", "prog_modulus", "residue", "modulus",
+                 "power_of_two_in_d", "conjectural", "label")
 
-    def __post_init__(self):
-        if self.d_stride < 0:
+    def __init__(self, d_stride: int, d_offset: int, prog_modulus: int,
+                 residue: int, modulus: int | None = None,
+                 power_of_two_in_d: bool = False, conjectural: bool = False,
+                 label: str = ""):
+        if d_stride < 0:
             raise ValueError("d stride must be >= 0")
-        if self.d_offset < 1:
+        if d_offset < 1:
             raise ValueError("d offset must be >= 1")
-        if self.prog_modulus < 1:
+        if prog_modulus < 1:
             raise ValueError("progression modulus must be >= 1")
-        if not 0 <= self.residue < self.prog_modulus:
+        if not 0 <= residue < prog_modulus:
             raise ValueError("residue must lie in [0, prog_modulus)")
-        if self.power_of_two_in_d:
-            if self.modulus is not None:
+        if power_of_two_in_d:
+            if modulus is not None:
                 raise ValueError("power-of-two claims derive m from d")
-        elif self.modulus is None or self.modulus < 2:
+        elif modulus is None or modulus < 2:
             raise ValueError("fixed modulus must be >= 2")
-        elif self.modulus >= CLAIM_MODULUS_LIMIT:
+        elif modulus >= CLAIM_MODULUS_LIMIT:
             raise ValueError("modulus must stay below 2^63")
+        object.__setattr__(self, "d_stride", d_stride)
+        object.__setattr__(self, "d_offset", d_offset)
+        object.__setattr__(self, "prog_modulus", prog_modulus)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "power_of_two_in_d", power_of_two_in_d)
+        object.__setattr__(self, "conjectural", conjectural)
+        object.__setattr__(self, "label", label)
 
     def d_at(self, k: int) -> int:
         return self.d_stride * k + self.d_offset
@@ -92,13 +95,19 @@ class Witness(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim: CongruenceClaim
-    k_max: int
-    n_max: int
-    status: str  # "verified_up_to_bounds" | "counterexample"
-    witness: Witness | None = None
+class ClaimReport(Record):
+    """Outcome of verify_claim; status is "verified_up_to_bounds" or
+    "counterexample", and a counterexample carries its witness."""
+
+    __slots__ = ("claim", "k_max", "n_max", "status", "witness")
+
+    def __init__(self, claim: CongruenceClaim, k_max: int, n_max: int,
+                 status: str, witness: Witness | None = None):
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def builtin_claims() -> tuple:

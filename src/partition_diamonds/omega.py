@@ -21,13 +21,12 @@ F_d numerator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from operator import sub
 from typing import Iterable, NamedTuple
 
 from .polynomials import fd_poly
-from .series import TruncatedSeries, ZZ, div_one_minus, mul_sparse
+from .series import Record, TruncatedSeries, ZZ, div_one_minus, mul_sparse
 
 __all__ = [
     "OmegaInstance",
@@ -45,25 +44,25 @@ class UnsupportedInstanceError(ValueError):
     """Closed form requested outside its stated domain (j < -1)."""
 
 
-@dataclass(frozen=True)
-class OmegaInstance:
+class OmegaInstance(Record):
     """One elimination instance: lambda exponent j, d numerator factors,
     and the q-power specialization exponents for x_1..x_d and y."""
 
-    j: int
-    d: int
-    x_exponents: tuple
-    y_exponent: int
+    __slots__ = ("j", "d", "x_exponents", "y_exponent")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, j: int, d: int, x_exponents: tuple, y_exponent: int):
+        if d < 1:
             raise ValueError("d must be >= 1")
-        if len(self.x_exponents) != self.d:
+        if len(x_exponents) != d:
             raise ValueError("need exactly d x-exponents")
-        if any(a < 1 for a in self.x_exponents):
+        if any(a < 1 for a in x_exponents):
             raise ValueError("x exponents must be >= 1")
-        if self.y_exponent < 1:
+        if y_exponent < 1:
             raise ValueError("y exponent must be >= 1")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "x_exponents", x_exponents)
+        object.__setattr__(self, "y_exponent", y_exponent)
 
 
 def omega_bruteforce(inst: OmegaInstance, order: int) -> TruncatedSeries:

@@ -34,12 +34,11 @@ enumeration is affordable, never what it returns.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import accumulate, product, repeat
 from math import comb
 from operator import add, mul
 
-from .series import TruncatedSeries, ZZ
+from .series import Record, TruncatedSeries, ZZ
 
 __all__ = [
     "DiamondShape",
@@ -65,26 +64,25 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed the configured work budget."""
 
 
-@dataclass(frozen=True)
-class DiamondShape:
+class DiamondShape(Record):
     """Fixed-shape diamond: fan width d >= 1 and n >= 0 chain cells."""
 
-    d: int
-    n: int
+    __slots__ = ("d", "n")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, n: int):
+        if d < 1:
             raise ValueError("fan width d must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("cell count n must be >= 0")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
 
     @property
     def node_count(self) -> int:
         return (self.n + 1) + self.n * self.d
 
 
-@dataclass(frozen=True)
-class DiamondConfig:
+class DiamondConfig(Record):
     """One assignment of node values: links a_0..a_n and an n x d fan grid.
 
     Validates the edge inequalities a_{k-1} >= b_{k,j} >= a_k on
@@ -92,24 +90,25 @@ class DiamondConfig:
     count in place); the type exists as a checked witness format.
     """
 
-    links: tuple
-    fans: tuple  # fans[k-1][j-1] is the j-th fan node of cell k
+    __slots__ = ("links", "fans")  # fans[k-1][j-1]: j-th fan node of cell k
 
-    def __post_init__(self):
-        n = len(self.links) - 1
+    def __init__(self, links: tuple, fans: tuple):
+        n = len(links) - 1
         if n < 0:
             raise ValueError("need at least one link")
-        if len(self.fans) != n:
+        if len(fans) != n:
             raise ValueError("need one fan row per cell")
-        if any(a < 0 for a in self.links) or \
-                any(b < 0 for row in self.fans for b in row):
+        if any(a < 0 for a in links) or \
+                any(b < 0 for row in fans for b in row):
             raise ValueError("node values must be non-negative")
-        for k, row in enumerate(self.fans, start=1):
-            hi, lo = self.links[k - 1], self.links[k]
+        for k, row in enumerate(fans, start=1):
+            hi, lo = links[k - 1], links[k]
             if any(not (hi >= b >= lo) for b in row):
                 raise ValueError(
                     f"cell {k} violates a_{k - 1} >= b >= a_{k}"
                 )
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "fans", fans)
 
     @property
     def shape(self) -> DiamondShape:

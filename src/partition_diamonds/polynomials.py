@@ -19,10 +19,9 @@ to A_d, which is the bridge between diamond counting and Eulerian numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import RingSpec, TruncatedSeries, ZZ
+from .series import Record, RingSpec, TruncatedSeries, ZZ
 
 __all__ = [
     "UnivariatePolynomial",
@@ -36,14 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnivariatePolynomial:
+class UnivariatePolynomial(Record):
     """Dense exact-integer polynomial; coeffs[i] is the q^i coefficient.
 
     Trailing zeros are stripped; the zero polynomial has empty coeffs.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "UnivariatePolynomial":

@@ -16,11 +16,18 @@ The closed forms in genfun and omega run on a plain coefficient list
 instead, with two in-place primitives: mul_sparse multiplies by a sparse
 polynomial, and div_one_minus divides by (1 - q^s) as stride-s prefix sums.
 euler_product drives them over a whole product family.
+
+Every pdiamonds command runs in a fresh interpreter, so import time is part
+of every job.  The value types of the package (RingSpec, TruncatedSeries and
+the records in the other modules) are therefore plain __slots__ classes on
+the Record base below rather than frozen dataclasses.  Importing dataclasses
+also loads inspect, ast, dis and tokenize, and @dataclass compiles the
+methods of each class with exec at import; together they made up most of
+the package's import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mod, mul
 from typing import Callable, Iterable, Mapping
@@ -41,19 +48,67 @@ __all__ = [
 MODULUS_LIMIT = 1 << 64  # residue rings Z/mZ take 2 <= m < 2^64
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    each one once in its own __init__ through object.__setattr__.  Instances
+    compare equal only to instances of the same class with equal fields,
+    hash and print by their fields as a frozen dataclass does, and raise
+    AttributeError on any later assignment.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which revalidates
+        return type(self), self._values()
+
+
+class RingSpec(Record):
     """Coefficient ring: exact integers (modulus None) or integers mod m."""
 
-    modulus: int | None = None
+    __slots__ = ("modulus",)
 
-    def __post_init__(self):
-        m = self.modulus
-        if m is not None:
-            if m < 2:
-                raise ValueError(f"modulus must be >= 2, got {m}")
-            if m >= MODULUS_LIMIT:
-                raise ValueError(f"modulus must fit in 64 bits, got {m}")
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None:
+            if modulus < 2:
+                raise ValueError(f"modulus must be >= 2, got {modulus}")
+            if modulus >= MODULUS_LIMIT:
+                raise ValueError(
+                    f"modulus must fit in 64 bits, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+
+    # every series operation compares rings, so these skip Record's tuples
+    def __eq__(self, other):
+        if other.__class__ is not RingSpec:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash(self.modulus)
 
     @property
     def is_exact(self) -> bool:
@@ -83,8 +138,7 @@ class RingSpec:
 ZZ = RingSpec()
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A power series known exactly modulo q^order.
 
     coeffs[i] is the coefficient of q^i; len(coeffs) == order.  Instances
@@ -92,10 +146,16 @@ class TruncatedSeries:
     concurrently.
     """
 
-    ring: RingSpec
-    coeffs: tuple
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: RingSpec, coeffs: tuple):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
+        # a separate method, run on every construction, so that a profiler
+        # can count allocations by wrapping it
         if len(self.coeffs) == 0:
             raise ValueError("series order must be >= 1")
 

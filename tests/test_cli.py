@@ -253,6 +253,60 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["0 1", "1 2", "2 5"]
 
 
+def test_broken_pipe_exits_2_without_traceback():
+    # the 80 kB table outgrows a 64 kB pipe buffer, so the writer is still
+    # writing when the reader closes its end after one unbuffered line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "partition_diamonds", "coeffs", "--series",
+         "rd", "--d", "2", "--N", "2000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.readline() == b'"index","coefficient"\r\n'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+
+
+TABLE_LESS = ["identities --only eulerian --d-max 4",
+              "oracle --kind rd --d 1 --N 6"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+@pytest.mark.parametrize("command", TABLE_LESS)
+def test_table_less_commands_reject_non_json_format(capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", TABLE_LESS)
+def test_table_less_commands_accept_json_format(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert (code, out) == run_cli(capsys, *command.split(), "--format",
+                                  "json")[:2]
+    assert code == 0 and json.loads(out)
+
+
+def test_cli_import_leaves_out_dataclasses_and_csv():
+    # a fresh interpreter, since pytest itself has imported dataclasses;
+    # only what the import adds counts, not what site-packages preloads
+    probe = (
+        "import sys\n"
+        "watched = {'dataclasses', 'csv'} - set(sys.modules)\n"
+        "from partition_diamonds import cli\n"
+        "added = sorted(watched & set(sys.modules))\n"
+        "cli.main(['coeffs', '--series', 'sd', '--d', '1', '--N', '3',\n"
+        "          '--format', 'csv'])\n"
+        "print(sorted(watched), added, 'csv' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['csv', 'dataclasses'] [] True"
+
+
 # Stored stdout digests of the benchmark jobs; read only.  Each command in
 # every format it prints (identities and oracle print JSON only), a reduced
 # table and one refused oracle job.
