@@ -141,16 +141,17 @@ def _check_d(args: argparse.Namespace) -> None:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     _check_d(args)
+    if args.series == "ddn" and args.n is None:
+        raise UsageError("--series ddn requires --n")
+    ring = ZZ if args.mod is None else RingSpec(args.mod)
     if args.series == "ddn":
-        if args.n is None:
-            raise UsageError("--series ddn requires --n")
         series = ddn_series_closed(args.d, args.n, args.N)
+        if args.mod is not None:  # ddn has no ring argument
+            series = reduce_mod(series, args.mod)
     elif args.series == "rd":
-        series = rd_series(args.d, args.N)
+        series = rd_series(args.d, args.N, ring)
     else:
-        series = sd_series(args.d, args.N)
-    if args.mod is not None:
-        series = reduce_mod(series, args.mod)
+        series = sd_series(args.d, args.N, ring)
     _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
           ((i, str(c)) for i, c in enumerate(series.coeffs)))
     return 0

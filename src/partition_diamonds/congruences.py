@@ -18,7 +18,7 @@ reduced series for arithmetic progressions of zero coefficients.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .genfun import sd_series
 from .oracle import BudgetError, enumeration_budget
@@ -89,10 +89,7 @@ class CongruenceClaim(Record):
         return self.modulus
 
 
-class Witness(NamedTuple):
-    d: int
-    index: int
-    value: int
+Witness = namedtuple("Witness", "d index value")
 
 
 class ClaimReport(Record):

@@ -7,8 +7,18 @@ Each closed form is a product of sparse polynomials over powers of
 1/(1 - q^s); rd_series and sd_series go through the in-place kernel
 series.euler_product, whose stabilization contract guarantees that factors
 beyond the truncation order contribute nothing, and the other products
-call its two primitives directly.  sd_series_factorwise stays on
+call its primitives directly.  sd_series_factorwise stays on
 product_family as the independent reference.
+
+sd_series has a second route for the two exponents whose product is a
+sparse eta quotient: s_1 = 1/(q;q)^2 and s_2 = (q^2;q^2)/(q;q)^4.  It
+divides by Euler's pentagonal series and Jacobi's series, O(sqrt(N)) terms
+each, for O(N^1.5) work in place of about (d+1) N^2.  Over Z it serves
+d = 1 and d = 2.  Over Z/mZ the series depends on d only through the table
+(j+1)^d mod m, so it serves every d whose table equals the table of
+exponent 1 or 2, such as d = 5 mod 5, d = 13 mod 7 or d = 6 mod 5; each
+table is computed and compared, no theorem is assumed.  Every other
+(d, ring) stays on euler_product.
 
 mersmann_F_series computes the weight-1/2 eta quotient
 
@@ -21,11 +31,12 @@ only after this check passes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .polynomials import eulerian_poly, fd_poly
 from .series import (RingSpec, TruncatedSeries, ZZ, div_one_minus,
-                     euler_product, mul_sparse, product_family)
+                     div_sparse, euler_product, jacobi_cube_terms,
+                     mul_sparse, pentagonal_terms, product_family)
 
 __all__ = [
     "rd_series",
@@ -60,17 +71,27 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     mod m has period m in j, so the factor is also the degree < m numerator
     sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}); that form is used
     there, with j also cut off at the truncation order.
+
+    Over Z, d = 1 and d = 2 are built by _sd_eta_quotient instead.  Over
+    Z/mZ the series depends on d only through the table (j+1)^d mod m for
+    j < min(m, order), so a d whose table equals the table of exponent 1
+    or 2 is built as that exponent's quotient.
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
     m = ring.modulus
     if m is None:
+        if d <= 2:
+            return _sd_eta_quotient(d, order, ring)
         a_d = eulerian_poly(d).coeffs
 
         def factor(n: int) -> tuple:
             return {i * n: c for i, c in enumerate(a_d)}, {n: d + 1}
     else:
         powers = [pow(j + 1, d, m) for j in range(min(m, order))]
+        for e in (1, 2):
+            if powers == [pow(j + 1, e, m) for j in range(len(powers))]:
+                return _sd_eta_quotient(e, order, ring)
 
         def factor(n: int) -> tuple:
             terms = min(m, -(-order // n))
@@ -78,6 +99,25 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
             return numerator, {m * n: 1} if m * n < order else {}
 
     return euler_product(factor, order, ring)
+
+
+def _sd_eta_quotient(d: int, order: int, ring: RingSpec) -> TruncatedSeries:
+    """sd_series for d = 1 as 1/(q;q)^2, and for d = 2 as (q^2;q^2)/(q;q)^4.
+
+    A_1 = 1, and A_2 = 1 + x makes the numerator prod (1 + q^n) =
+    (q^2;q^2)/(q;q).  Dividing by the pentagonal series (q;q) and by
+    Jacobi's series (q;q)^3, each with O(sqrt(order)) terms, costs
+    O(order^1.5) in all, against about (d+1) order^2 for euler_product.
+    """
+    pentagonal = dict(pentagonal_terms(order))
+    a = [1] + [0] * (order - 1)
+    if d == 1:
+        div_sparse(a, pentagonal, 2, ring)
+    else:
+        mul_sparse(a, {2 * e: c for e, c in pentagonal.items()})
+        div_sparse(a, dict(jacobi_cube_terms(order)), 1, ring)
+        div_sparse(a, pentagonal, 1, ring)
+    return TruncatedSeries(ring, tuple(a))
 
 
 def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
@@ -121,10 +161,7 @@ def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(ZZ, tuple(acc))
 
 
-class MersmannResult(NamedTuple):
-    series: TruncatedSeries
-    theta: TruncatedSeries
-    agree: bool
+MersmannResult = namedtuple("MersmannResult", "series theta agree")
 
 
 def mersmann_F_series(order: int) -> MersmannResult:

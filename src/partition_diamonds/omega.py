@@ -21,9 +21,10 @@ F_d numerator.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import product
 from operator import sub
-from typing import Iterable, NamedTuple
 
 from .polynomials import fd_poly
 from .series import Record, TruncatedSeries, ZZ, div_one_minus, mul_sparse
@@ -179,9 +180,7 @@ def random_instances(count: int, seed: int, j_range=(-1, 4), d_max: int = 4,
         )
 
 
-class OmegaSuiteReport(NamedTuple):
-    instances: int
-    failures: list
+OmegaSuiteReport = namedtuple("OmegaSuiteReport", "instances failures")
 
 
 def run_omega_suite(count: int, seed: int, order: int = 20) -> OmegaSuiteReport:

@@ -13,24 +13,31 @@ factors one by one and is the reference path the closed forms are tested
 against.
 
 The closed forms in genfun and omega run on a plain coefficient list
-instead, with two in-place primitives: mul_sparse multiplies by a sparse
-polynomial, and div_one_minus divides by (1 - q^s) as stride-s prefix sums.
-euler_product drives them over a whole product family.
+instead, with three in-place primitives: mul_sparse multiplies by a sparse
+polynomial, div_one_minus divides by (1 - q^s) as stride-s prefix sums, and
+div_sparse divides by a sparse polynomial with constant term 1 through the
+recurrence that TruncatedSeries.inverse wraps.  euler_product drives the
+first two over a whole product family, one O(N) pass per factor.
+pentagonal_terms and jacobi_cube_terms yield (q;q) and (q;q)^3 below q^N,
+with O(sqrt(N)) terms each, so dividing by them costs O(N^1.5); genfun
+builds s_1 and s_2 that way.
 
 Every pdiamonds command runs in a fresh interpreter, so import time is part
 of every job.  The value types of the package (RingSpec, TruncatedSeries and
 the records in the other modules) are therefore plain __slots__ classes on
-the Record base below rather than frozen dataclasses.  Importing dataclasses
-also loads inspect, ast, dis and tokenize, and @dataclass compiles the
-methods of each class with exec at import; together they made up most of
-the package's import time.
+the Record base below rather than frozen dataclasses, and the plain tuples
+are collections.namedtuple types.  Importing dataclasses also loads inspect,
+ast, dis and tokenize, and @dataclass compiles the methods of each class
+with exec at import; together they made up most of the package's import
+time.  typing is left out for the same reason: annotations take their names
+from collections.abc.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate, repeat
 from operator import add, mod, mul
-from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "RingSpec",
@@ -274,21 +281,12 @@ class TruncatedSeries(Record):
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; constant term must be a unit."""
         ring = self.ring
-        n = self.order
         u = ring.unit_inverse(self.coeffs[0])
-        a = self.coeffs
-        # skip zero a-terms: cost O(order * nnz), exact either way
-        support = [i for i in range(1, n) if a[i]]
-        out = [0] * n
-        out[0] = ring.normalize(u)
-        for k in range(1, n):
-            s = 0
-            for i in support:
-                if i > k:
-                    break
-                s += a[i] * out[k - i]
-            if s:
-                out[k] = ring.normalize(-u * s)
+        # 1/a = u / (u a), and u a has constant term 1 in the ring
+        poly = {i: ring.normalize(u * c) for i, c in enumerate(self.coeffs)
+                if c}
+        out = [u] + [0] * (self.order - 1)
+        div_sparse(out, poly, 1, ring)
         return TruncatedSeries(ring, tuple(out))
 
     def __pow__(self, e: int) -> "TruncatedSeries":
@@ -399,6 +397,52 @@ def div_one_minus(a: list, s: int, times: int = 1) -> None:
                 a[b:b + s] = map(add, a[b:b + s], a[b - s:b])
 
 
+def div_sparse(a: list, poly: Mapping[int, int], times: int = 1,
+               ring: RingSpec = ZZ) -> None:
+    """a /= poly**times in place, for a polynomial {exponent: coeff} with
+    constant 1.
+
+    Each pass runs a[k] -= sum_e poly[e] * a[k - e] for k = 1, 2, ... in
+    turn, so every a[k - e] it reads is already divided; step k uses only
+    the terms with e <= k, for O(len(a) * nnz) work per pass.  Exponents at
+    or beyond len(a) are dropped.  Over Z/mZ each a[k] is reduced as it is
+    written, so for times >= 1 every coefficient ends in [0, m).
+    """
+    if poly.get(0) != 1:
+        raise ValueError(f"constant term must be 1, got {poly.get(0, 0)}")
+    n = len(a)
+    shifts = sorted((e, c) for e, c in poly.items() if e and e < n and c)
+    if shifts and shifts[0][0] < 0:
+        raise ValueError(f"negative exponent {shifts[0][0]}")
+    m = ring.modulus
+    if times and m is not None:
+        a[:] = map(mod, a, repeat(m))
+    for _ in range(times):
+        # unit coefficients (all of the pentagonal series) skip the multiply;
+        # the term lists grow as k passes each exponent.  Plain loops over
+        # a[k - e] beat map() and comprehensions on CPython here.
+        plus, minus, other = [], [], []
+        pending = iter(shifts)
+        e_next, c_next = next(pending, (n, 0))
+        for k in range(e_next, n):
+            while e_next <= k:
+                if c_next == 1:
+                    plus.append(e_next)
+                elif c_next == -1:
+                    minus.append(e_next)
+                else:
+                    other.append((e_next, c_next))
+                e_next, c_next = next(pending, (n, 0))
+            s = a[k]
+            for e in minus:
+                s += a[k - e]
+            for e in plus:
+                s -= a[k - e]
+            for e, c in other:
+                s -= c * a[k - e]
+            a[k] = s if m is None else s % m
+
+
 def euler_product(factor_at: Callable[[int], tuple], order: int,
                   ring: RingSpec = ZZ) -> TruncatedSeries:
     """The product family of product_family, built in place on one list.
@@ -443,45 +487,49 @@ def euler_product(factor_at: Callable[[int], tuple], order: int,
     return TruncatedSeries(ring, tuple(a))
 
 
-def pentagonal_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
-    """prod (1-q^m) as the sparse sum over generalized pentagonal numbers.
+def pentagonal_terms(order: int):
+    """(exponent, coefficient) pairs of prod (1-q^m) below q^order.
 
-    Coefficient of q^{k(3k+1)/2} is (-1)^k for k = 0, +-1, +-2, ...
+    Euler's pentagonal number theorem: the coefficient of q^{k(3k-1)/2} and
+    of q^{k(3k+1)/2} is (-1)^k, for k = 0, 1, 2, ...; about 1.63 sqrt(order)
+    terms in all.
     """
+    yield 0, 1
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        sign = -1 if k % 2 else 1
+        yield k * (3 * k - 1) // 2, sign
+        if k * (3 * k + 1) // 2 < order:
+            yield k * (3 * k + 1) // 2, sign
+        k += 1
+
+
+def jacobi_cube_terms(order: int):
+    """(exponent, coefficient) pairs of prod (1-q^m)^3 below q^order.
+
+    Jacobi's identity: the coefficient of q^{t(t+1)/2} is (-1)^t (2t+1), for
+    t = 0, 1, 2, ...; about sqrt(2 order) terms in all.
+    """
+    t = 0
+    while t * (t + 1) // 2 < order:
+        yield t * (t + 1) // 2, (2 * t + 1) * (-1 if t % 2 else 1)
+        t += 1
+
+
+def pentagonal_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
+    """prod (1-q^m) as the sparse sum over generalized pentagonal numbers."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    terms = {0: 1}
-    k = 1
-    while True:
-        e_pos = k * (3 * k + 1) // 2
-        e_neg = k * (3 * k - 1) // 2
-        if e_neg >= order and e_pos >= order:
-            break
-        sign = -1 if k % 2 else 1
-        if e_pos < order:
-            terms[e_pos] = sign
-        if e_neg < order:
-            terms[e_neg] = sign
-        k += 1
-    return TruncatedSeries.from_terms(terms, order, ring)
+    return TruncatedSeries.from_terms(dict(pentagonal_terms(order)), order,
+                                      ring)
 
 
 def jacobi_cube_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
-    """prod (1-q^m)^3 as the sparse sum over triangular numbers.
-
-    Coefficient of q^{t(t+1)/2} is (-1)^t (2t+1) for t >= 0.
-    """
+    """prod (1-q^m)^3 as the sparse sum over triangular numbers."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    terms = {}
-    t = 0
-    while True:
-        e = t * (t + 1) // 2
-        if e >= order:
-            break
-        terms[e] = (2 * t + 1) * (-1 if t % 2 else 1)
-        t += 1
-    return TruncatedSeries.from_terms(terms, order, ring)
+    return TruncatedSeries.from_terms(dict(jacobi_cube_terms(order)), order,
+                                      ring)
 
 
 def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:

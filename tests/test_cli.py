@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 from partition_diamonds import cli
 from partition_diamonds.cli import DEFAULT_SEED, main
+from partition_diamonds.genfun import rd_series, sd_series
+from partition_diamonds.series import reduce_mod
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +51,39 @@ def test_coeffs_mod_reduction(capsys):
     payload = json.loads(out)
     assert payload["ring"] == {"mod": 5}
     assert payload["coeffs"] == ["1", "2", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("series, d, m", [
+    ("sd", 1, 11), ("sd", 2, 7), ("sd", 6, 3), ("sd", 8, 5), ("sd", 3, 4),
+    ("rd", 1, 5), ("rd", 8, 7), ("rd", 3, 2),
+    ("sd", 5, (1 << 64) - 59), ("rd", 2, (1 << 64) - 59),
+])
+def test_coeffs_mod_equals_reduced_exact_build(capsys, series, d, m):
+    # --mod builds in Z/mZ; the exact build reduced afterwards must agree
+    code, out, _ = run_cli(capsys, "coeffs", "--series", series, "--d",
+                           str(d), "--N", "120", "--mod", str(m))
+    assert code == 0
+    build = {"rd": rd_series, "sd": sd_series}[series]
+    want = reduce_mod(build(d, 120), m)
+    assert json.loads(out) == {"ring": {"mod": m}, "order": 120,
+                               "coeffs": [str(c) for c in want.coeffs]}
+
+
+@pytest.mark.parametrize("series", ("rd", "sd", "ddn"))
+@pytest.mark.parametrize("m, message", [
+    (1, "error: modulus must be >= 2, got 1"),
+    (1 << 64, f"error: modulus must fit in 64 bits, got {1 << 64}"),
+])
+def test_coeffs_bad_mod_exits_2_before_building(capsys, monkeypatch, series,
+                                                m, message):
+    def refuse(*args):
+        raise AssertionError("a series was built")
+
+    for name in ("rd_series", "sd_series", "ddn_series_closed"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, "coeffs", "--series", series, "--d",
+                             "2", "--n", "2", "--N", "10", "--mod", str(m))
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_coeffs_csv_quotes_values(capsys):
@@ -290,21 +326,25 @@ def test_table_less_commands_accept_json_format(capsys, command):
 
 
 def test_cli_import_leaves_out_dataclasses_and_csv():
-    # a fresh interpreter, since pytest itself has imported dataclasses;
-    # only what the import adds counts, not what site-packages preloads
+    # a fresh interpreter, since pytest itself has imported dataclasses; -S
+    # keeps a site-packages .pth file from preloading any watched module,
+    # so the package is found through PYTHONPATH alone
     probe = (
         "import sys\n"
-        "watched = {'dataclasses', 'csv'} - set(sys.modules)\n"
+        "watched = {'dataclasses', 'csv', 'typing'} - set(sys.modules)\n"
         "from partition_diamonds import cli\n"
         "added = sorted(watched & set(sys.modules))\n"
         "cli.main(['coeffs', '--series', 'sd', '--d', '1', '--N', '3',\n"
         "          '--format', 'csv'])\n"
         "print(sorted(watched), added, 'csv' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "['csv', 'dataclasses'] [] True"
+    assert proc.stdout.splitlines()[-1] == \
+        "['csv', 'dataclasses', 'typing'] [] True"
 
 
 # Stored stdout digests of the benchmark jobs; read only.  Each command in
