@@ -265,9 +265,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.list:
-        for claim in builtin_claims():
-            kind = "conjecture" if claim.conjectural else "theorem"
-            print(f"{claim.label}  ({kind})")
+        rows = [(claim.label, "conjecture" if claim.conjectural else "theorem")
+                for claim in builtin_claims()]
+        _emit({"claims": [{"label": label, "kind": kind}
+                          for label, kind in rows]},
+              args.format, ("label", "kind"), rows)
         return 0
     if args.claim is not None:
         try:

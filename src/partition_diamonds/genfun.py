@@ -3,22 +3,18 @@
 rd_series counts diamonds by total node sum, sd_series counts Schmidt-type
 diamonds by link sum only, and ddn_series_closed gives the fixed-length
 series under the one-variable specialization (every node variable set to q).
-Each closed form is a product of sparse polynomials over powers of
-1/(1 - q^s); rd_series and sd_series go through the in-place kernel
-series.euler_product, whose stabilization contract guarantees that factors
-beyond the truncation order contribute nothing, and the other products
-call its primitives directly.  sd_series_factorwise stays on
-product_family as the independent reference.
 
-sd_series has a second route for the two exponents whose product is a
-sparse eta quotient: s_1 = 1/(q;q)^2 and s_2 = (q^2;q^2)/(q;q)^4.  It
-divides by Euler's pentagonal series and Jacobi's series, O(sqrt(N)) terms
-each, for O(N^1.5) work in place of about (d+1) N^2.  Over Z it serves
-d = 1 and d = 2.  Over Z/mZ the series depends on d only through the table
-(j+1)^d mod m, so it serves every d whose table equals the table of
-exponent 1 or 2, such as d = 5 mod 5, d = 13 mod 7 or d = 6 mod 5; each
-table is computed and compared, no theorem is assumed.  Every other
-(d, ring) stays on euler_product.
+rd_series and sd_series have one shape, a product of numerators over a
+sparse eta quotient prod_s (q^s; q^s)^k, and both are built by
+series.euler_product: the numerators first, whose stabilization contract
+guarantees that factors beyond the truncation order contribute nothing,
+then one division by Euler's pentagonal series and Jacobi's series, with
+O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q);
+sd_series divides A_d(q^n) numerators by (q;q)^{d+1}, needs none for d = 1
+and 2, and over Z/mZ keeps a periodic numerator over (q^m;q^m) for tables
+that reduce to neither.  ddn_series_closed and mersmann_F_series have
+finite denominators and call the kernel's primitives directly.
+sd_series_factorwise stays on product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
 
@@ -35,8 +31,7 @@ from collections import namedtuple
 
 from .polynomials import eulerian_poly, fd_poly
 from .series import (RingSpec, TruncatedSeries, ZZ, div_one_minus,
-                     div_sparse, euler_product, jacobi_cube_terms,
-                     mul_sparse, pentagonal_terms, product_family)
+                     euler_product, mul_sparse, product_family)
 
 __all__ = [
     "rd_series",
@@ -51,73 +46,59 @@ __all__ = [
 def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting d-fold partition diamonds by total node sum.
 
-    The n-th factor is F_d(q^{(n-1)(d+1)+1}, q) / (1 - q^n).
+    prod_n F_d(q^{(n-1)(d+1)+1}, q) / (q; q)_inf: the n-th factor is
+    F_d(q^{(n-1)(d+1)+1}, q) / (1 - q^n).
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
     fd = fd_poly(d)
 
-    def factor(n: int) -> tuple:
-        return fd.specialized_terms((n - 1) * (d + 1) + 1, 1, order), {n: 1}
+    def numerator(n: int) -> dict:
+        return fd.specialized_terms((n - 1) * (d + 1) + 1, 1, order)
 
-    return euler_product(factor, order, ring)
+    return euler_product(numerator, order, ring, eta={1: 1})
 
 
 def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting Schmidt-type d-fold diamonds by link sum.
 
     The n-th factor is sum_j (j+1)^d q^{jn} = A_d(q^n) / (1 - q^n)^(d+1)
-    with A_d the Eulerian polynomial.  Over Z/mZ the coefficient (j+1)^d
-    mod m has period m in j, so the factor is also the degree < m numerator
-    sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}); that form is used
-    there, with j also cut off at the truncation order.
+    with A_d the Eulerian polynomial, so the series is prod_n A_d(q^n) /
+    (q;q)^{d+1}.  A_1 = 1, and A_2 = 1 + x makes prod_n A_2(q^n) =
+    (q^2;q^2)/(q;q), so s_1 = 1/(q;q)^2 and s_2 = (q^2;q^2)/(q;q)^4 need
+    no numerator.
 
-    Over Z, d = 1 and d = 2 are built by _sd_eta_quotient instead.  Over
-    Z/mZ the series depends on d only through the table (j+1)^d mod m for
-    j < min(m, order), so a d whose table equals the table of exponent 1
-    or 2 is built as that exponent's quotient.
+    Over Z/mZ the series depends on d only through the table (j+1)^d mod m
+    for j < min(m, order), so a d whose table equals the table of exponent
+    1 or 2 is built as that exponent.  Any other table has period m in j:
+    factor n is also sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}),
+    with j cut off at the truncation order, so (q^m;q^m) in all.
     """
     if d < 1 or order < 1:
         raise ValueError("need d >= 1 and order >= 1")
     m = ring.modulus
-    if m is None:
-        if d <= 2:
-            return _sd_eta_quotient(d, order, ring)
-        a_d = eulerian_poly(d).coeffs
-
-        def factor(n: int) -> tuple:
-            return {i * n: c for i, c in enumerate(a_d)}, {n: d + 1}
-    else:
+    if m is not None:
         powers = [pow(j + 1, d, m) for j in range(min(m, order))]
         for e in (1, 2):
             if powers == [pow(j + 1, e, m) for j in range(len(powers))]:
-                return _sd_eta_quotient(e, order, ring)
+                d = e
+                break
+        else:
+            def periodic(n: int) -> dict:
+                terms = min(m, -(-order // n))
+                return {j * n: powers[j] for j in range(terms)}
 
-        def factor(n: int) -> tuple:
-            terms = min(m, -(-order // n))
-            numerator = {j * n: powers[j] for j in range(terms)}
-            return numerator, {m * n: 1} if m * n < order else {}
-
-    return euler_product(factor, order, ring)
-
-
-def _sd_eta_quotient(d: int, order: int, ring: RingSpec) -> TruncatedSeries:
-    """sd_series for d = 1 as 1/(q;q)^2, and for d = 2 as (q^2;q^2)/(q;q)^4.
-
-    A_1 = 1, and A_2 = 1 + x makes the numerator prod (1 + q^n) =
-    (q^2;q^2)/(q;q).  Dividing by the pentagonal series (q;q) and by
-    Jacobi's series (q;q)^3, each with O(sqrt(order)) terms, costs
-    O(order^1.5) in all, against about (d+1) order^2 for euler_product.
-    """
-    pentagonal = dict(pentagonal_terms(order))
-    a = [1] + [0] * (order - 1)
+            return euler_product(periodic, order, ring, eta={m: 1})
     if d == 1:
-        div_sparse(a, pentagonal, 2, ring)
-    else:
-        mul_sparse(a, {2 * e: c for e, c in pentagonal.items()})
-        div_sparse(a, dict(jacobi_cube_terms(order)), 1, ring)
-        div_sparse(a, pentagonal, 1, ring)
-    return TruncatedSeries(ring, tuple(a))
+        return euler_product(None, order, ring, eta={1: 2})
+    if d == 2:
+        return euler_product(None, order, ring, eta={1: 4, 2: -1})
+    a_d = eulerian_poly(d).coeffs
+
+    def numerator(n: int) -> dict:
+        return {i * n: c for i, c in enumerate(a_d)}
+
+    return euler_product(numerator, order, ring, eta={1: d + 1})
 
 
 def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:

@@ -123,21 +123,20 @@ class DiamondConfig(Record):
 
 
 def enumeration_budget(budget: int | None = None) -> int:
-    """Active work budget: explicit argument, else DIAMOND_BUDGET, else 1e9."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("DIAMOND_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"DIAMOND_BUDGET must be a positive integer, got {env!r}"
-        )
-    return value
+    """Active work budget, a positive integer: explicit argument, else
+    DIAMOND_BUDGET, else 1e9."""
+    name, raw = "budget", budget
+    if budget is None:
+        name, raw = "DIAMOND_BUDGET", os.environ.get("DIAMOND_BUDGET")
+        if not raw:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            budget = 0
+    if budget < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _check_budget(estimate: int, budget: int | None, what: str):

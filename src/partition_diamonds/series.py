@@ -16,11 +16,11 @@ The closed forms in genfun and omega run on a plain coefficient list
 instead, with three in-place primitives: mul_sparse multiplies by a sparse
 polynomial, div_one_minus divides by (1 - q^s) as stride-s prefix sums, and
 div_sparse divides by a sparse polynomial with constant term 1 through the
-recurrence that TruncatedSeries.inverse wraps.  euler_product drives the
-first two over a whole product family, one O(N) pass per factor.
-pentagonal_terms and jacobi_cube_terms yield (q;q) and (q;q)^3 below q^N,
-with O(sqrt(N)) terms each, so dividing by them costs O(N^1.5); genfun
-builds s_1 and s_2 that way.
+recurrence that TruncatedSeries.inverse wraps.  euler_product builds every
+product of genfun: the numerators, one O(N) pass per factor, over a sparse
+eta quotient prod_s (q^s;q^s)^k.  pentagonal_terms and jacobi_cube_terms
+yield (q;q) and (q;q)^3 below q^N, with O(sqrt(N)) terms each, so dividing
+by them costs O(N^1.5).
 
 Every pdiamonds command runs in a fresh interpreter, so import time is part
 of every job.  The value types of the package (RingSpec, TruncatedSeries and
@@ -443,26 +443,39 @@ def div_sparse(a: list, poly: Mapping[int, int], times: int = 1,
             a[k] = s if m is None else s % m
 
 
-def euler_product(factor_at: Callable[[int], tuple], order: int,
-                  ring: RingSpec = ZZ) -> TruncatedSeries:
-    """The product family of product_family, built in place on one list.
+def euler_product(numerator_at: Callable[[int], Mapping[int, int]] | None,
+                  order: int, ring: RingSpec = ZZ, *,
+                  eta: Mapping[int, int]) -> TruncatedSeries:
+    """prod_n numerator_at(n) / prod_s (q^s; q^s)_inf^k, built in place.
 
-    factor_at(n) returns (numerator, denominator): the numerator as an
-    {exponent: coeff} polynomial and the denominator as {stride: power},
-    meaning numerator / prod (1 - q^stride)^power.  The contract is
-    product_family's: constant term 1 and no q^i term with 0 < i < n, which
-    here means every numerator exponent and every stride is >= n.  So factor
-    n never changes an index below n, and over Z/mZ the indices >= n are
-    reduced once per factor.
+    numerator_at(n) returns numerator n as an {exponent: coeff} polynomial;
+    None means every numerator is 1.  The contract is product_family's:
+    constant term 1 and no q^i term with 0 < i < n, so numerator n never
+    changes an index below n, and over Z/mZ the indices >= n are reduced
+    once per factor.  eta maps each stride s >= 1 to its power k: (q^s;q^s)
+    is the pentagonal series scaled by s, each full 3 of k one Jacobi series
+    instead.  A negative k multiplies, before any division; over Z/mZ every
+    coefficient ends in [0, m).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     m = ring.modulus
     a = [1] + [0] * (order - 1)
-    for n in range(1, order):
-        numerator, denominator = factor_at(n)
+    divisions = []
+    for s, k in eta.items():
+        if s < 1:
+            raise ValueError(f"eta stride must be >= 1, got {s}")
+        for terms, times in zip((jacobi_cube_terms, pentagonal_terms),
+                                divmod(abs(k), 3)):
+            poly = {s * e: c for e, c in terms(-(-order // s))}
+            if k > 0:
+                divisions.append((poly, times))
+            else:
+                for _ in range(times):
+                    mul_sparse(a, poly)
+    for n in range(1, order if numerator_at is not None else 1):
         poly = {}
-        for e, c in numerator.items():
+        for e, c in numerator_at(n).items():
             c = ring.normalize(c)
             if c and e < order:
                 poly[e] = c
@@ -471,19 +484,18 @@ def euler_product(factor_at: Callable[[int], tuple], order: int,
                 f"factor {n} has constant term {poly.get(0, 0)}, need 1"
             )
         low = [e for e in poly if e < 0 or 0 < e < n]
-        low += [s for s, k in denominator.items() if k and s < n]
         if low:
             raise ValueError(
                 f"factor {n} has a q^{low[0]} term; lowest non-constant "
                 f"exponent must be >= {n}"
             )
-        if any(k < 0 for k in denominator.values()):
-            raise ValueError(f"factor {n} has a negative denominator power")
         mul_sparse(a, poly)
-        for s, k in denominator.items():
-            div_one_minus(a, s, k)
         if m is not None:
             a[n:] = map(mod, a[n:], repeat(m))
+    if m is not None:
+        a[:] = map(mod, a, repeat(m))
+    for poly, times in divisions:
+        div_sparse(a, poly, times, ring)
     return TruncatedSeries(ring, tuple(a))
 
 

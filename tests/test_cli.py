@@ -226,6 +226,34 @@ def test_oracle_sd_honours_budget(capsys, monkeypatch):
     assert "budget error" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_flag_exit_2(capsys, value):
+    for argv in (("oracle", "--kind", "rd", "--d", "1", "--N", "5"),
+                 ("verify", "--claim", "mod5_4k1_r2", "--k-max", "0",
+                  "--n-max", "5")):
+        code, out, err = run_cli(capsys, *argv, "--budget", value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: budget must be a positive integer, " \
+                      f"got {value}\n"
+
+
+def test_verify_list_formats(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--list")
+    assert code == 0
+    claims = json.loads(out)["claims"]
+    assert {"label": "mod11", "kind": "theorem"} in claims
+    assert {c["kind"] for c in claims} == {"theorem", "conjecture"}
+    code, csv_out, _ = run_cli(capsys, "verify", "--list", "--format", "csv")
+    assert code == 0
+    lines = csv_out.splitlines()
+    assert lines[0] == '"label","kind"'
+    assert lines[1:] == [f'"{c["label"]}","{c["kind"]}"' for c in claims]
+    code, plain, _ = run_cli(capsys, "verify", "--list", "--format", "plain")
+    assert code == 0
+    assert plain.splitlines() == [f"{c['label']} {c['kind']}" for c in claims]
+
+
 def test_verify_list_and_single_claim(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

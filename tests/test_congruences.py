@@ -108,6 +108,13 @@ def test_verify_budget_guard():
         verify_claim(claim, k_max=0, n_max=10, budget=100)
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_verify_rejects_nonpositive_budget(value):
+    claim = claim_by_label("mod5_4k1_r2")
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        verify_claim(claim, k_max=0, n_max=5, budget=value)
+
+
 def test_euler_phi():
     assert euler_phi(1) == 1
     assert euler_phi(5) == 4

@@ -1,10 +1,13 @@
-"""The sparse eta-quotient route of sd_series, and its primitive div_sparse.
+"""The sparse eta-quotient routes of sd_series, and the primitive div_sparse.
 
-sd_series builds s_1 as 1/(q;q)^2 and s_2 as (q^2;q^2)/(q;q)^4 by dividing
-by the pentagonal and Jacobi series, and over Z/mZ it takes that route for
-every d whose table (j+1)^d mod m equals the table of exponent 1 or 2.
-sd_series_factorwise multiplies bare power sums through product_family and
-never touches div_sparse, so it is the reference here.
+euler_product divides a product of numerators by a sparse eta quotient
+prod_s (q^s; q^s)^k.  sd_series builds s_1 as 1/(q;q)^2 and s_2 as
+(q^2;q^2)/(q;q)^4 with no numerator at all, and over Z/mZ it takes that
+route for every d whose table (j+1)^d mod m equals the table of exponent 1
+or 2.  Any other d keeps a numerator: A_d(q^n) over (q;q)^{d+1} over Z, the
+periodic table over (q^m;q^m) in Z/mZ.  sd_series_factorwise multiplies
+bare power sums through product_family and never touches div_sparse, so it
+is the reference here.
 """
 
 import pytest
@@ -52,31 +55,47 @@ def test_sd_series_matches_factorwise(d, order, ring):
     assert sd_series(d, order, ring) == sd_series_factorwise(d, order, ring)
 
 
+def record_routes(monkeypatch):
+    """Record (numerator passed?, eta) for each euler_product call."""
+    calls = []
+    euler_product = genfun.euler_product
+
+    def recorded(numerator_at, order, ring, *, eta):
+        calls.append((numerator_at is not None, eta))
+        return euler_product(numerator_at, order, ring, eta=eta)
+
+    monkeypatch.setattr(genfun, "euler_product", recorded)
+    return calls
+
+
+ETA = {1: {1: 2}, 2: {1: 4, 2: -1}}  # s_1 and s_2, by exponent
+# the exponent whose table each one equals; 1 is tried first, so (3, 2),
+# whose table matches both, builds as s_1
+REDUCES_TO = {(5, 5): 1, (11, 11): 1, (13, 7): 1, (4, 3): 2, (6, 5): 2,
+              (2, 4): 2, (3, 2): 1, (1, None): 1, (2, None): 2}
+
+
 @pytest.mark.parametrize("d, m", REDUCING + [(1, None), (2, None)])
 def test_reducible_tables_skip_euler_product(monkeypatch, d, m):
-    def refuse(*args):
-        raise AssertionError("euler_product was called")
-
-    monkeypatch.setattr(genfun, "euler_product", refuse)
+    """These tables skip euler_product's numerator pass: they pass no
+    numerator, only the eta quotient of s_1 or s_2."""
+    calls = record_routes(monkeypatch)
     ring = ZZ if m is None else RingSpec(m)
     for order in (1, 2, 120):
         assert sd_series(d, order, ring) == \
             sd_series_factorwise(d, order, ring)
+    # at order 1 every table mod m is [1], the table of exponent 1
+    e = REDUCES_TO[d, m]
+    assert calls == [(False, ETA[1 if m else e]), (False, ETA[e]),
+                     (False, ETA[e])]
 
 
 @pytest.mark.parametrize("d, m", [(3, 5), (3, None), (4, 7)])
 def test_other_tables_stay_on_euler_product(monkeypatch, d, m):
-    calls = []
-    euler_product = genfun.euler_product
-
-    def counted(*args):
-        calls.append(args[1:])
-        return euler_product(*args)
-
-    monkeypatch.setattr(genfun, "euler_product", counted)
+    calls = record_routes(monkeypatch)
     ring = ZZ if m is None else RingSpec(m)
     assert sd_series(d, 60, ring) == sd_series_factorwise(d, 60, ring)
-    assert calls == [(60, ring)]
+    assert calls == [(True, {1: d + 1} if m is None else {m: 1})]
 
 
 # -- div_sparse -----------------------------------------------------------

@@ -4,6 +4,8 @@ Every closed form built on series.euler_product / mul_sparse / div_one_minus
 is compared, on random (d, N, ring), with a product of TruncatedSeries
 factors assembled here or with sd_series_factorwise, which multiplies bare
 power sums through product_family and never touches the kernel.
+euler_product itself, numerators over a sparse eta quotient, is compared
+with product_family on random numerators and eta maps.
 """
 
 import pytest
@@ -86,33 +88,38 @@ def test_ddn_series_closed_matches_series_product(d, n, order):
 
 # -- the driver and its primitives on random sparse factors ----------------
 
-factor_families = st.lists(
-    st.tuples(
-        st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=4),
-        st.dictionaries(st.integers(0, 4), st.integers(0, 3), max_size=3),
-    ),
+numerator_families = st.none() | st.lists(
+    st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=4),
     min_size=1, max_size=8,
 )
+# powers -2..7 cross the Jacobi split at 3 and 6
+etas = st.dictionaries(st.integers(1, 5), st.integers(-2, 7), max_size=3)
 
 
 @SETTINGS
-@given(family=factor_families, order=st.integers(1, 60), ring=rings)
-def test_euler_product_matches_product_family(family, order, ring):
-    """Factor n: 1 + sum c q^{n(1+i)} over prod (1 - q^{n(1+i)})^k."""
-    def kernel_factor(n):
-        numer, denom = family[n % len(family)]
-        poly = {n * (1 + i): c for i, c in numer.items()}
+@given(family=numerator_families, eta=etas, order=st.integers(1, 60),
+       ring=rings)
+@example(family=None, eta={2: -1}, order=40, ring=RingSpec(7))
+@example(family=None, eta={1: -2, 3: -1}, order=60, ring=RingSpec(5))
+@example(family=None, eta={1: 7, 2: 6, 3: 3}, order=60, ring=ZZ)
+@example(family=[{0: 3, 2: -4}], eta={1: -2, 4: 5}, order=60,
+         ring=RingSpec(1 << 62))
+def test_euler_product_matches_product_family(family, eta, order, ring):
+    """Numerator n: 1 + sum c q^{n(1+i)}; then prod_s (q^s; q^s)^{-k}."""
+    def numerator(n):
+        poly = {n * (1 + i): c for i, c in family[n % len(family)].items()}
         poly[0] = 1
-        return poly, {n * (1 + i): k for i, k in denom.items()}
+        return poly
 
     def series_factor(n):
-        poly, denom = kernel_factor(n)
-        f = TruncatedSeries.from_terms(poly, order, ring)
-        for s, k in denom.items():
-            f = f * one_minus(s, order, ring) ** (-k)
+        f = TruncatedSeries.one(order, ring) if family is None else \
+            TruncatedSeries.from_terms(numerator(n), order, ring)
+        for s, k in eta.items():
+            f = f * one_minus(s * n, order, ring) ** (-k)
         return f
 
-    assert euler_product(kernel_factor, order, ring) == \
+    numerator_at = None if family is None else numerator
+    assert euler_product(numerator_at, order, ring, eta=eta) == \
         product_family(series_factor, order, ring)
 
 
@@ -145,50 +152,47 @@ def test_div_one_minus_both_loop_orders():
 
 def test_euler_product_rejects_bad_constant_term():
     with pytest.raises(ValueError, match="constant term 2, need 1"):
-        euler_product(lambda n: ({0: 2}, {}), 6)
+        euler_product(lambda n: {0: 2}, 6, eta={})
     with pytest.raises(ValueError, match="constant term 0, need 1"):
-        euler_product(lambda n: ({}, {n: 1}), 6)
+        euler_product(lambda n: {}, 6, eta={1: 1})
     with pytest.raises(ValueError, match="constant term 0, need 1"):
-        euler_product(lambda n: ({0: 5}, {}), 6, RingSpec(5))
+        euler_product(lambda n: {0: 5}, 6, RingSpec(5), eta={})
 
 
 def test_euler_product_rejects_low_numerator_term():
     def bad(n):
-        return ({0: 1, 1: 1}, {}) if n == 2 else ({0: 1}, {})
+        return {0: 1, 1: 1} if n == 2 else {0: 1}
 
     with pytest.raises(ValueError, match="factor 2 has a q\\^1 term; "
                                          "lowest non-constant"):
-        euler_product(bad, 6)
+        euler_product(bad, 6, eta={})
     with pytest.raises(ValueError, match="lowest non-constant"):
-        euler_product(lambda n: ({0: 1, -1: 1}, {}), 6)
+        euler_product(lambda n: {0: 1, -1: 1}, 6, eta={})
 
 
 def test_euler_product_rejects_low_stride():
-    def bad(n):
-        return ({0: 1}, {1: 1}) if n == 3 else ({0: 1}, {n: 1})
-
-    with pytest.raises(ValueError, match="factor 3 has a q\\^1 term"):
-        euler_product(bad, 6)
-    with pytest.raises(ValueError, match="q\\^0 term"):
-        euler_product(lambda n: ({0: 1}, {0: 1}), 6)
+    for s in (0, -1, -3):
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got {s}"):
+            euler_product(None, 6, eta={1: 1, s: 1})
+        with pytest.raises(ValueError, match="stride"):
+            euler_product(lambda n: {0: 1}, 6, RingSpec(5), eta={s: -1})
 
 
-def test_euler_product_rejects_negative_power_and_order():
-    with pytest.raises(ValueError, match="negative denominator power"):
-        euler_product(lambda n: ({0: 1}, {n: -1}), 6)
-    with pytest.raises(ValueError, match="order"):
-        euler_product(lambda n: ({0: 1}, {}), 0)
+def test_euler_product_rejects_order_below_one():
+    for order in (0, -4):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            euler_product(None, order, eta={1: 1})
 
 
 def test_euler_product_contract_is_checked_after_reduction():
     # 6 + 5q is 1 in Z/5, so factor n is 1/(1 - q^n) there, as it would be
     # for product_family; over Z the q^1 term breaks the contract at n = 2
     ring = RingSpec(5)
-    got = euler_product(lambda n: ({0: 6, 1: 5}, {n: 1}), 8, ring)
+    got = euler_product(lambda n: {0: 6, 1: 5}, 8, ring, eta={1: 1})
     want = product_family(lambda n: one_minus(n, 8, ring).inverse(), 8, ring)
     assert got == want
     with pytest.raises(ValueError, match="factor 2 has a q\\^1 term"):
-        euler_product(lambda n: ({0: 1, 1: 5}, {n: 1}), 8)
+        euler_product(lambda n: {0: 1, 1: 5}, 8, eta={1: 1})
 
 
 def test_primitives_reject_bad_input():

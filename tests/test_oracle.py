@@ -303,6 +303,15 @@ def test_sd_budget_guard_and_env_override(monkeypatch):
         == count_sd(1, 30)
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_explicit_budget_must_be_positive(value):
+    message = f"budget must be a positive integer, got {value}"
+    with pytest.raises(ValueError, match=message):
+        enumeration_budget(value)
+    with pytest.raises(ValueError, match=message):
+        count_sd_upto(1, 5, budget=value)
+
+
 def test_negative_width_is_rejected():
     for call in (lambda: estimate_rd_enumeration(-1, 5),
                  lambda: estimate_ddn_enumeration(-1, 2, 5),
