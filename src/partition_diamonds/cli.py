@@ -4,9 +4,9 @@ cross-validation, congruence verification, and progression scanning.
 Exit codes are strict: 0 means success (or all claims verified/held),
 1 means a mathematical counterexample or failed identity, 2 means a usage
 or budget error, or (from the pdiamonds script) a reader that closed stdout
-early.  All randomized checks take --seed and default to a fixed
-value, so identical invocations produce byte-identical output.  The
-environment variable DIAMOND_BUDGET overrides the enumeration work guard.
+early.  Only identities takes --seed, with a fixed default, so identical
+invocations produce byte-identical output.  Only oracle and verify take
+--budget, the work guard, else DIAMOND_BUDGET, validated before any estimate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
                      series_to_json_dict)
 
 DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
+BUDGET_HELP = ("work guard, a positive integer, checked before any estimate "
+               "(default DIAMOND_BUDGET, else 1e9)")
 
 
 class UsageError(Exception):
@@ -50,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, handler, formats=("json", "csv", "plain")):
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration work guard (default 1e9 or "
-                            "DIAMOND_BUDGET)")
 
     p = sub.add_parser("coeffs", help="print series coefficients")
     p.add_argument("--series", choices=("rd", "sd", "ddn"), required=True)
@@ -70,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--instances", type=int, default=200,
                    help="random elimination instances")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p, cmd_identities, formats=("json",))
 
     p = sub.add_parser("oracle", help="closed form vs raw enumeration")
@@ -77,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="length (ddn only)")
     p.add_argument("--N", type=int, default=20)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     common(p, cmd_oracle, formats=("json",))
 
     p = sub.add_parser("verify", help="verify congruence claims")
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list builtin claim labels")
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     common(p, cmd_verify)
 
     p = sub.add_parser("scan", help="search a series for zero progressions")
@@ -219,6 +220,10 @@ def _check_crude(order: int = 15) -> dict:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    for flag, value in (("--d-max", args.d_max),
+                        ("--instances", args.instances)):
+        if value < 1:  # a check over nothing would pass
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     runners = {
         "eulerian": lambda: _check_eulerian(args.d_max),
         "euler-factor": lambda: _check_euler_factor(min(args.N, 60)),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .genfun import sd_series
-from .oracle import BudgetError, enumeration_budget
+from .oracle import check_budget
 from .series import MODULUS_LIMIT, Record, RingSpec, TruncatedSeries
 
 __all__ = [
@@ -146,13 +146,8 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
     """Check the claim for k <= k_max, n <= n_max; exact residue arithmetic."""
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    limit = enumeration_budget(budget)
-    estimate = _claim_work_estimate(claim, k_max, n_max)
-    if estimate > limit:
-        raise BudgetError(
-            f"claim {claim.label or claim}: estimated {estimate} work units "
-            f"exceeds budget {limit}"
-        )
+    check_budget(budget, lambda: _claim_work_estimate(claim, k_max, n_max),
+                 f"claim {claim.label or claim}", "work units")
     order = claim.prog_modulus * n_max + claim.residue + 1
     for k in range(k_max + 1):
         d = claim.d_at(k)

@@ -12,17 +12,18 @@ then one division by Euler's pentagonal series and Jacobi's series, with
 O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q);
 sd_series divides A_d(q^n) numerators by (q;q)^{d+1}, needs none for d = 1
 and 2, and over Z/mZ keeps a periodic numerator over (q^m;q^m) for tables
-that reduce to neither.  ddn_series_closed and mersmann_F_series have
-finite denominators and call the kernel's primitives directly.
-sd_series_factorwise stays on product_family as the independent reference.
+that reduce to neither.  ddn_series_closed has finite denominators and
+calls the kernel's primitives directly.  sd_series_factorwise stays on
+product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
 
-    prod (1-q^{6n}) (1-q^n)^2 / ((1-q^{3n}) (1-q^{2n}))
+    F(q) = (q;q)^2 (q^6;q^6) / ((q^2;q^2) (q^3;q^3))
 
-both as that product and as its two-theta-sum expansion, and reports
-whether they agree; downstream congruence arguments lean on the theta form
-only after this check passes.
+through the same kernel, eta map {1: -2, 2: 1, 3: 1, 6: -1}, and
+independently as its two-theta-sum expansion, and reports whether they
+agree; downstream congruence arguments lean on the theta form only after
+this check passes.
 """
 
 from __future__ import annotations
@@ -153,14 +154,9 @@ def mersmann_F_series(order: int) -> MersmannResult:
     if order < 1:
         raise ValueError("order must be >= 1")
 
-    # (1 - q^n)^2 (1 - q^{6n}) expanded, over (1 - q^{2n}) (1 - q^{3n})
-    acc = [1] + [0] * (order - 1)
-    for n in range(1, order):
-        mul_sparse(acc, {0: 1, n: -2, 2 * n: 1, 6 * n: -1, 7 * n: 2,
-                         8 * n: -1})
-        div_one_minus(acc, 2 * n)
-        div_one_minus(acc, 3 * n)
-    eta_side = TruncatedSeries(ZZ, tuple(acc))
+    # (q;q)^2 (q^6;q^6) / ((q^2;q^2) (q^3;q^3)): negative powers multiply
+    eta_side = euler_product(None, order, ZZ,
+                             eta={1: -2, 2: 1, 3: 1, 6: -1})
 
     terms = {}
     t = 0

@@ -21,13 +21,13 @@ generating functions are tested against, so it must not reuse the algebra
 it is checking: it takes nothing from genfun or polynomials, and from
 series only the TruncatedSeries return type.
 
-Every enumerator first runs the budget guard: an exact count of what it is
-about to visit (diamonds for rd and ddn, link chain prefixes for sd),
-computed before any enumeration.  The stop at a zero link changes no
-count, so each estimate still equals the total enumerated.  The rd and ddn
-estimators are iterative sweeps over weight vectors, one per link value,
-O(d N^2) for free length and O(d n N^2) for a fixed shape; the sd
-estimator is the partition coin DP.  They only decide whether an
+Every enumerator first runs the one guard, check_budget: it validates the
+budget, then computes an exact count of what it is about to visit
+(diamonds for rd and ddn, link chain prefixes for sd).  The stop at a zero
+link changes no count, so each estimate still equals the total enumerated.
+The rd and ddn estimators are iterative sweeps over weight vectors, one per
+link value, O(d N^2) for free length and O(d n N^2) for a fixed shape; the
+sd estimator is the partition coin DP.  They only decide whether an
 enumeration is affordable, never what it returns.
 """
 
@@ -139,12 +139,14 @@ def enumeration_budget(budget: int | None = None) -> int:
     return budget
 
 
-def _check_budget(estimate: int, budget: int | None, what: str):
+def check_budget(budget: int | None, estimate, what: str,
+                 unit: str = "configurations") -> None:
+    """Validate the budget, then raise BudgetError if estimate() exceeds it."""
     limit = enumeration_budget(budget)
-    if estimate > limit:
+    cost = estimate()
+    if cost > limit:
         raise BudgetError(
-            f"{what}: estimated {estimate} configurations exceeds "
-            f"budget {limit}"
+            f"{what}: estimated {cost} {unit} exceeds budget {limit}"
         )
 
 
@@ -330,8 +332,8 @@ def count_rd_upto(d: int, n_max: int, budget: int | None = None) -> list:
     """[r_d(0), ..., r_d(n_max)]: every diamond of weight <= n_max, once."""
     if n_max < 0:
         raise ValueError("weight must be >= 0")
-    _check_budget(estimate_rd_enumeration(d, n_max), budget,
-                  f"count_rd(d={d}, n<={n_max})")
+    check_budget(budget, lambda: estimate_rd_enumeration(d, n_max),
+                 f"count_rd(d={d}, n<={n_max})")
     return _enumerate(d, None, 0, n_max)
 
 
@@ -368,8 +370,8 @@ def count_sd_upto(d: int, n_max: int, budget: int | None = None) -> list:
     _check_width(d)
     if n_max < 0:
         raise ValueError("weight must be >= 0")
-    _check_budget(estimate_sd_enumeration(n_max), budget,
-                  f"count_sd(d={d}, n<={n_max})")
+    check_budget(budget, lambda: estimate_sd_enumeration(n_max),
+                 f"count_sd(d={d}, n<={n_max})")
     cell = [(gap + 1) ** d for gap in range(n_max + 1)]
     counts = [0] * (n_max + 1)
     counts[0] = 1  # the empty chain: every node is zero
@@ -397,8 +399,8 @@ def count_sd_raw(d: int, n: int, budget: int | None = None) -> int:
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
-    _check_budget(count_sd(d, n, budget), budget,
-                  f"count_sd_raw(d={d}, n={n})")
+    check_budget(budget, lambda: count_sd(d, n, budget),
+                 f"count_sd_raw(d={d}, n={n})")
     total = 0
     for chain in _link_chains(n):
         links = chain + [0]
@@ -423,8 +425,8 @@ def series_Ddn_bruteforce(d: int, n: int, order: int,
     """
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
-    _check_budget(estimate_ddn_enumeration(d, n, order), budget,
-                  f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
+    check_budget(budget, lambda: estimate_ddn_enumeration(d, n, order),
+                 f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
     return TruncatedSeries.from_coeffs(_enumerate(d, n, 0, order - 1),
                                        ring=ZZ)
 
@@ -443,8 +445,8 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
         raise ValueError("need n >= 1 and order >= 1")
     # the all-rho diamond is the lightest; reuse the unshifted estimator
     base = rho * ((n + 1) + d * n)
-    if base < order:
-        _check_budget(estimate_ddn_enumeration(d, n, order - base), budget,
-                      f"series_Ddn_shifted(d={d}, n={n}, rho={rho})")
+    check_budget(budget,
+                 lambda: estimate_ddn_enumeration(d, n, order - base),
+                 f"series_Ddn_shifted(d={d}, n={n}, rho={rho})")
     return TruncatedSeries.from_coeffs(_enumerate(d, n, rho, order - 1),
                                        ring=ZZ)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from partition_diamonds import cli
+from partition_diamonds import cli, congruences, oracle
 from partition_diamonds.cli import DEFAULT_SEED, main
 from partition_diamonds.genfun import rd_series, sd_series
 from partition_diamonds.series import reduce_mod
@@ -236,6 +236,68 @@ def test_nonpositive_budget_flag_exit_2(capsys, value):
         assert out == ""
         assert err == f"error: budget must be a positive integer, " \
                       f"got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--kind", "rd", "--d", "1", "--N", "2500"),
+    ("oracle", "--kind", "sd", "--d", "1", "--N", "30"),
+    ("oracle", "--kind", "ddn", "--d", "2", "--n", "2", "--N", "30"),
+    ("verify", "--claim", "mod11", "--k-max", "0", "--n-max", "10"),
+], ids=["oracle-rd", "oracle-sd", "oracle-ddn", "verify"])
+def test_bad_budget_env_exit_2_before_any_estimate(capsys, monkeypatch,
+                                                   argv):
+    def no_estimate(*args):
+        raise AssertionError("an estimate ran before the budget check")
+
+    for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration",
+                 "estimate_sd_enumeration"):
+        monkeypatch.setattr(oracle, name, no_estimate)
+    monkeypatch.setattr(congruences, "_claim_work_estimate", no_estimate)
+    monkeypatch.setenv("DIAMOND_BUDGET", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: DIAMOND_BUDGET must be a "
+                                       "positive integer, got 'abc'\n")
+
+
+COEFFS = ("coeffs", "--series", "sd", "--d", "1", "--N", "3")
+IDENTITIES = ("identities", "--only", "eulerian", "--d-max", "4")
+ORACLE = ("oracle", "--kind", "rd", "--d", "1", "--N", "6")
+VERIFY = ("verify", "--claim", "mod5_4k1_r2", "--k-max", "0", "--n-max", "5")
+SCAN = ("scan", "--d", "1", "--m", "5", "--M-max", "6", "--N", "50")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (COEFFS, "--budget"), (IDENTITIES, "--budget"), (SCAN, "--budget"),
+    (COEFFS, "--seed"), (ORACLE, "--seed"), (VERIFY, "--seed"),
+    (SCAN, "--seed"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flags_parse_only_where_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "5"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"unrecognized arguments: {flag} 5" in out.err
+
+
+@pytest.mark.parametrize("flag", ["--instances", "--d-max"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_identities_empty_bounds_exit_2_before_any_check(
+        capsys, monkeypatch, flag, value):
+    def no_check(*args):
+        raise AssertionError("an identity check ran")
+
+    for name in ("_check_eulerian", "_check_euler_factor",
+                 "_check_pentagonal", "_check_jacobi", "_check_mersmann",
+                 "_check_omega", "_check_crude"):
+        monkeypatch.setattr(cli, name, no_check)
+    for only in ("omega", "eulerian", None):
+        argv = ["identities", flag, value]
+        if only:
+            argv += ["--only", only]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 1, "
+                                           f"got {value}\n")
 
 
 def test_verify_list_formats(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from partition_diamonds import congruences
 from partition_diamonds.congruences import (
     CLAIM_MODULUS_LIMIT, MAX_POW2_D, ClaimReport, CongruenceClaim,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
@@ -113,6 +114,16 @@ def test_verify_rejects_nonpositive_budget(value):
     claim = claim_by_label("mod5_4k1_r2")
     with pytest.raises(ValueError, match="budget must be a positive integer"):
         verify_claim(claim, k_max=0, n_max=5, budget=value)
+
+
+def test_verify_checks_budget_before_its_estimate(monkeypatch):
+    def no_estimate(*args):
+        raise AssertionError("the work estimate ran before the budget check")
+
+    monkeypatch.setattr(congruences, "_claim_work_estimate", no_estimate)
+    with pytest.raises(ValueError,
+                       match="budget must be a positive integer, got 0"):
+        verify_claim(claim_by_label("mod11"), k_max=0, n_max=10, budget=0)
 
 
 def test_euler_phi():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partition_diamonds import oracle
 from partition_diamonds.oracle import (
     BudgetError, DiamondConfig, DiamondShape, count_rd, count_rd_upto,
     count_sd, count_sd_raw, count_sd_upto, enumeration_budget,
@@ -310,6 +311,26 @@ def test_explicit_budget_must_be_positive(value):
         enumeration_budget(value)
     with pytest.raises(ValueError, match=message):
         count_sd_upto(1, 5, budget=value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_rd_upto(1, 2499, budget=0),
+    lambda: count_sd_upto(1, 30, budget=0),
+    lambda: count_sd_raw(1, 30, budget=0),
+    lambda: series_Ddn_bruteforce(2, 2, 30, budget=0),
+    lambda: series_Ddn_shifted(2, 2, 1, 30, budget=0),
+], ids=["count_rd_upto", "count_sd_upto", "count_sd_raw",
+        "series_Ddn_bruteforce", "series_Ddn_shifted"])
+def test_budget_is_validated_before_any_estimate(monkeypatch, call):
+    def no_estimate(*args):
+        raise AssertionError("an estimate ran before the budget check")
+
+    for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration",
+                 "estimate_sd_enumeration", "count_sd"):
+        monkeypatch.setattr(oracle, name, no_estimate)
+    with pytest.raises(ValueError,
+                       match="budget must be a positive integer, got 0"):
+        call()
 
 
 def test_negative_width_is_rejected():

@@ -54,6 +54,11 @@ def test_fd_small():
     assert fd_poly(1).terms == {(0, 0): 1}
     assert fd_poly(2).terms == {(0, 0): 1, (1, 1): 1}
     assert fd_poly(3).terms == {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1}
+    # equality and hash go by terms; zero coefficients are dropped
+    same = BivariatePolynomial({(1, 1): 1, (0, 0): 1, (5, 5): 0})
+    assert same == fd_poly(2) and hash(same) == hash(fd_poly(2))
+    assert len({fd_poly(2), same, fd_poly(3)}) == 2
+    assert fd_poly(2) != fd_poly(3) and fd_poly(1) != {(0, 0): 1}
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -66,6 +66,10 @@ def test_mul_truncates_to_min_order():
     a = geometric(10)
     b = geometric(4)
     assert (a * b).order == 4
+    # truncate forgets the tail and never extends
+    assert a.truncate(4) == b and a.truncate(10) == a
+    with pytest.raises(ValueError, match="cannot extend series of order 4"):
+        b.truncate(5)
 
 
 def test_mul_ring_mismatch_rejected():
@@ -206,6 +210,9 @@ def test_ring_axioms_random_trials():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert (a - b).coeffs == tuple(x - y for x, y in
+                                       zip(a.coeffs, b.coeffs))
+        assert -(-a) == a and a - b == a + (-b)
 
 
 def test_mul_invert_roundtrip_random():
@@ -241,3 +248,7 @@ def test_json_roundtrip():
     d = series_to_json_dict(t)
     assert d["ring"] == {"mod": 7}
     assert series_from_json_dict(d) == t
+    # str shows at most eight nonzero terms, then the truncation order
+    assert str(s) == f"{10 ** 30}*q^0 + -2*q^1 + 7*q^3 + O(q^4)"
+    assert str(TruncatedSeries.zero(3)) == "0 + O(q^3)"
+    assert str(geometric(12)).count("*q^") == 8
