@@ -140,10 +140,17 @@ def _check_d(args: argparse.Namespace) -> None:
         raise UsageError(f"--d is capped at {MAX_CLI_D}")
 
 
+def _check_n(kind: str, flag: str, n: int | None) -> None:
+    """--n is the ddn cell count: required there, refused elsewhere."""
+    if kind == "ddn" and n is None:
+        raise UsageError(f"{flag} ddn requires --n")
+    if kind != "ddn" and n is not None:
+        raise UsageError(f"--n applies only to {flag} ddn, not {kind}")
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
     _check_d(args)
-    if args.series == "ddn" and args.n is None:
-        raise UsageError("--series ddn requires --n")
+    _check_n(args.series, "--series", args.n)
     ring = ZZ if args.mod is None else RingSpec(args.mod)
     if args.series == "ddn":
         series = ddn_series_closed(args.d, args.n, args.N)
@@ -242,11 +249,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _check_d(args)
+    _check_n(args.kind, "--kind", args.n)
     mismatches = []
     # the guarded enumeration runs first, so a refused job builds no series
     if args.kind == "ddn":
-        if args.n is None:
-            raise UsageError("--kind ddn requires --n")
         counts = series_Ddn_bruteforce(args.d, args.n, args.N,
                                        args.budget).coeffs
         closed = ddn_series_closed(args.d, args.n, args.N)

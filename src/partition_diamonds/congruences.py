@@ -220,6 +220,8 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
         raise ValueError("scan expects a series over a residue ring")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if min_support < 1:  # a progression inspected nowhere is no evidence
+        raise ValueError(f"min_support must be >= 1, got {min_support}")
     coeffs = series.coeffs
     order = series.order
     kept = []

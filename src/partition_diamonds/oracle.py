@@ -7,38 +7,42 @@ chain inequalities force the links to be weakly decreasing, so a diamond of
 finite weight has finite support, and we identify unbounded-length diamonds
 with their support: trailing all-zero cells are quotiented away.
 
-Everything here enumerates explicitly.  One recursive enumerator serves
+Everything here enumerates explicitly.  One link-chain walk serves
 count_rd_upto (free length), series_Ddn_bruteforce (n cells) and
-series_Ddn_shifted (n cells, every node >= rho): it iterates every link and
-fan value, and a diamond is complete once its cell count is reached or its
-last link is 0.  With floor 0 a zero link forces every later node to 0, so
-that one stop is the support quotient for free length, and for a fixed
-shape it counts the forced zero tail once instead of walking it cell by
-cell.  count_sd_upto iterates every link chain and multiplies out the
-independent fan choices of its cells, and count_sd_raw iterates those fan
-values too.  This module is the ground-truth oracle the closed-form
-generating functions are tested against, so it must not reuse the algebra
-it is checking: it takes nothing from genfun or polynomials, and from
-series only the TruncatedSeries return type.
+series_Ddn_shifted (n cells, every node >= rho).  It visits every weakly
+decreasing chain of links once, from an explicit stack, and carries the
+counts by weight of the diamond prefixes on that chain: closing a cell adds
+its d fans one at a time, each a window sum over the values in [a_k,
+a_{k-1}].  States of different chains are never merged.  A diamond is
+complete once its cell count is reached or its last link is 0.  With floor
+0 a zero link forces every later node to 0, so that one stop is the
+support quotient for free length, and for a fixed shape it counts the
+forced zero tail once instead of walking it cell by cell.  count_sd_upto
+walks the link chains too and multiplies out the independent fan choices
+of its cells, and count_sd_raw iterates those fan values, one diamond at a
+time.  This module is the ground-truth oracle the closed-form generating
+functions are tested against, so it must not reuse the algebra it is
+checking: it takes nothing from genfun or polynomials, and from series
+only the TruncatedSeries return type and the Record base class.
 
 Every enumerator first runs the one guard, check_budget: it validates the
-budget, then computes an exact count of what it is about to visit
-(diamonds for rd and ddn, link chain prefixes for sd).  The stop at a zero
-link changes no count, so each estimate still equals the total enumerated.
-The rd and ddn estimators are iterative sweeps over weight vectors, one per
-link value, O(d N^2) for free length and O(d n N^2) for a fixed shape; the
-sd estimator is the partition coin DP.  They only decide whether an
+budget, then computes an exact count of its result: the number of diamonds
+counted for rd and ddn (the sum of the returned counts, not the number of
+chains walked), and of link chain prefixes for sd.  The rd and ddn
+estimators are iterative sweeps over weight vectors, one per link value,
+O(d N^2) for free length and O(d n N^2) for a fixed shape; the sd
+estimator is the partition coin DP.  They only decide whether an
 enumeration is affordable, never what it returns.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
-from .series import Record, TruncatedSeries, ZZ
+from .series import Record, TruncatedSeries
 
 __all__ = [
     "DiamondShape",
@@ -281,46 +285,41 @@ def estimate_sd_enumeration(n_max: int) -> int:
 
 
 # ---------------------------------------------------------------------
-# The enumerator
+# The link-chain walk
 # ---------------------------------------------------------------------
 
-def _enumerate(d: int, cells: int | None, rho: int, top: int) -> list:
+def _walk_chains(d: int, cells: int | None, rho: int, top: int) -> list:
     """Diamonds of weight <= top with every node >= rho, counted by weight.
 
-    Chooses the links a_0, a_1, ... in turn, then the d fan values of each
-    cell one by one within [a_k, a_{k-1}], pruning on the remaining weight.
-    A diamond is complete after `cells` cells (None: free length), or as
-    soon as a link is 0: with rho = 0 every later node is forced to 0, so
-    the zero tail is one completion of the same weight.
+    Walks every link chain a_0 >= a_1 >= ... >= rho once, with an explicit
+    stack of (last link a, cells so far, lightest weight w, counts), where
+    counts[i] is the number of prefixes with this chain of weight w + i.
+    Closing a cell at the next link c <= a shifts by c, then adds the d
+    fans one at a time: a fan takes each value in [c, a], so it shifts by c
+    and sums a window of width a - c + 1.  A state is complete after
+    `cells` cells (None: free length), or once its last link is 0: with
+    rho = 0 every later node is forced to 0, so the zero tail is one
+    completion of the same weight.
     """
     _check_width(d)
     counts = [0] * (top + 1)
-    depth = 0  # cells chosen on the current path
-
-    def cell(a_prev: int, used: int):
-        nonlocal depth
-        if a_prev == 0 or depth == cells:
-            counts[used] += 1
-            return
-        depth += 1
-        # link a costs at least a + d*a (fans are >= a)
-        for a in range(rho, min(a_prev, (top - used) // (d + 1)) + 1):
-            fans(a_prev, a, used + a, d)
-        depth -= 1
-
-    def fans(hi: int, a: int, used: int, left: int):
-        if left == 0:
-            cell(a, used)
-            return
-        floor = a * (left - 1)  # fans after this one each cost at least a
-        for b in range(a, hi + 1):
-            u = used + b
-            if u + floor > top:
-                break
-            fans(hi, a, u, left - 1)
-
-    for a0 in range(rho, top + 1):
-        cell(a0, a0)
+    stack = [(a0, 0, a0, [1] + [0] * (top - a0))
+             for a0 in range(rho, top + 1)]
+    while stack:
+        a, k, w, vec = stack.pop()
+        if a == 0 or k == cells:
+            counts[w:] = map(add, counts[w:], vec)
+            continue
+        # link c costs at least c + d*c (fans are >= c)
+        for c in range(rho, min(a, (top - w) // (d + 1)) + 1):
+            size = top - w - c + 1
+            nxt = vec[:size]
+            for _ in range(d):
+                size -= c
+                run = list(accumulate(nxt, initial=0))
+                nxt = list(map(sub, run[1:size + 1],
+                               chain(repeat(0, a - c), run)))
+            stack.append((c, k + 1, w + (d + 1) * c, nxt))
     return counts
 
 
@@ -334,7 +333,7 @@ def count_rd_upto(d: int, n_max: int, budget: int | None = None) -> list:
         raise ValueError("weight must be >= 0")
     check_budget(budget, lambda: estimate_rd_enumeration(d, n_max),
                  f"count_rd(d={d}, n<={n_max})")
-    return _enumerate(d, None, 0, n_max)
+    return _walk_chains(d, None, 0, n_max)
 
 
 def count_rd(d: int, n: int, budget: int | None = None) -> int:
@@ -427,8 +426,7 @@ def series_Ddn_bruteforce(d: int, n: int, order: int,
         raise ValueError("need n >= 1 and order >= 1")
     check_budget(budget, lambda: estimate_ddn_enumeration(d, n, order),
                  f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
-    return TruncatedSeries.from_coeffs(_enumerate(d, n, 0, order - 1),
-                                       ring=ZZ)
+    return TruncatedSeries.from_coeffs(_walk_chains(d, n, 0, order - 1))
 
 
 def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
@@ -448,5 +446,4 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
     check_budget(budget,
                  lambda: estimate_ddn_enumeration(d, n, order - base),
                  f"series_Ddn_shifted(d={d}, n={n}, rho={rho})")
-    return TruncatedSeries.from_coeffs(_enumerate(d, n, rho, order - 1),
-                                       ring=ZZ)
+    return TruncatedSeries.from_coeffs(_walk_chains(d, n, rho, order - 1))

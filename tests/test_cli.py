@@ -21,6 +21,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def ddn_length(kind, n="2"):
+    """The --n flag, which only the ddn series takes."""
+    return ("--n", n) if kind == "ddn" else ()
+
+
 def test_coeffs_sd_json(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--series", "sd",
                            "--d", "1", "--N", "6")
@@ -82,7 +87,8 @@ def test_coeffs_bad_mod_exits_2_before_building(capsys, monkeypatch, series,
     for name in ("rd_series", "sd_series", "ddn_series_closed"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run_cli(capsys, "coeffs", "--series", series, "--d",
-                             "2", "--n", "2", "--N", "10", "--mod", str(m))
+                             "2", *ddn_length(series), "--N", "10",
+                             "--mod", str(m))
     assert (code, out, err) == (2, "", message + "\n")
 
 
@@ -101,6 +107,25 @@ def test_coeffs_ddn_requires_length(capsys):
                            "--d", "2", "--N", "5")
     assert code == 2
     assert "requires --n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--series", "rd", "--d", "1", "--N", "3"),
+    ("coeffs", "--series", "sd", "--d", "1", "--N", "3", "--mod", "5"),
+    ("oracle", "--kind", "rd", "--d", "1", "--N", "5"),
+    ("oracle", "--kind", "sd", "--d", "1", "--N", "5"),
+], ids=["coeffs-rd", "coeffs-sd", "oracle-rd", "oracle-sd"])
+def test_length_flag_only_for_ddn(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built or enumerated with a stray --n")
+
+    for name in ("rd_series", "sd_series", "count_rd_upto", "count_sd_upto"):
+        monkeypatch.setattr(cli, name, no_work)
+    kind = argv[argv.index("--d") - 1]
+    code, out, err = run_cli(capsys, *argv, "--n", "4")
+    flag = "--series" if argv[0] == "coeffs" else "--kind"
+    assert (code, out, err) == (
+        2, "", f"error: --n applies only to {flag} ddn, not {kind}\n")
 
 
 def test_usage_error_exit_2():
@@ -183,7 +208,7 @@ def test_oracle_refusal_builds_no_series(capsys, monkeypatch, kind):
     for name in ("rd_series", "sd_series", "ddn_series_closed"):
         monkeypatch.setattr(cli, name, no_series)
     code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "2",
-                             "--n", "2", "--N", "30", "--budget", "10")
+                             *ddn_length(kind), "--N", "30", "--budget", "10")
     assert code == 2
     assert out == ""
     assert "budget error" in err
@@ -192,7 +217,7 @@ def test_oracle_refusal_builds_no_series(capsys, monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["rd", "sd", "ddn"])
 def test_oracle_negative_width_exit_2(capsys, kind):
     code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "-1",
-                             "--n", "2", "--N", "5")
+                             *ddn_length(kind), "--N", "5")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -207,7 +232,7 @@ def test_oracle_zero_width_exit_2_before_any_work(capsys, monkeypatch, kind):
                  "rd_series", "sd_series", "ddn_series_closed"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, "oracle", "--kind", kind, "--d", "0",
-                             "--n", "2", "--N", "60")
+                             *ddn_length(kind), "--N", "60")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -349,6 +374,16 @@ def test_scan_plain_matches_known_progressions(capsys):
                            "--format", "plain")
     assert code == 0
     assert out.splitlines() == ["5 2", "5 3", "5 4"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_scan_min_support_below_one_exit_2(capsys, value):
+    # with no inspected coefficient every progression would be "zero"
+    code, out, err = run_cli(capsys, "scan", "--d", "1", "--m", "5",
+                             "--M-max", "60", "--N", "50",
+                             "--min-support", value, "--format", "plain")
+    assert (code, out, err) == (
+        2, "", f"error: min_support must be >= 1, got {value}\n")
 
 
 def test_scan_json_shape(capsys):

@@ -182,6 +182,16 @@ def test_scanner_requires_residue_ring_and_support():
     assert (5, 2) in scan_progressions(series, 5, min_support=5)
 
 
+@pytest.mark.parametrize("min_support", [0, -3])
+def test_scanner_refuses_support_below_one(min_support):
+    series = sd_series(1, 50, RingSpec(5))
+    with pytest.raises(ValueError, match="min_support must be >= 1"):
+        scan_progressions(series, 60, min_support=min_support)
+    # support 1 inspects at least one coefficient per reported progression
+    found = scan_progressions(series, 60, min_support=1)
+    assert found and all(r < series.order for _, r in found)
+
+
 def test_conjectural_claims_verify_small():
     report = verify_claim(claim_by_label("mod7_6k1_r17"), k_max=0, n_max=5)
     assert report.status == "verified_up_to_bounds"

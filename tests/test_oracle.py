@@ -1,11 +1,13 @@
 """Diamond enumeration oracle: counts, fixed-shape series, shift, budget.
 
 Expected values here come either from forced configurations (weight 0 and 1
-are fully determined), from hand enumeration recorded in comments, or from
-independent partition counting written in the test file.
+are fully determined), from hand enumeration recorded in comments, from
+independent partition counting written in the test file, or from a literal
+enumerator that builds every diamond as a validated DiamondConfig.
 """
 
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,3 +343,68 @@ def test_negative_width_is_rejected():
                  lambda: count_sd_upto(-1, 5)):
         with pytest.raises(ValueError, match="fan width"):
             call()
+
+
+# ---------------------------------------------------------------------
+# The link-chain walk against a literal per-diamond enumerator
+# ---------------------------------------------------------------------
+
+def literal_counts(d, cells, rho, top):
+    """Diamonds of weight <= top with every node >= rho, one at a time.
+
+    Link chains are weakly decreasing tuples: n + 1 links in [rho, top] for
+    a fixed shape of n cells, or for free length (rho = 0) k positive links
+    closed by one zero link, the support of the diamond.  Each chain takes
+    itertools.product over its fan grid, fan j of cell k in [a_k, a_{k-1}]
+    cut to the weight left, and every diamond is built as a DiamondConfig,
+    which checks its inequalities, and counted by its total weight.
+    """
+    if cells is None:
+        chains = (links + (0,) for k in range(top + 1)
+                  for links in combinations_with_replacement(
+                      range(top - k + 1, 0, -1), k))
+    else:
+        chains = combinations_with_replacement(range(top, rho - 1, -1),
+                                               cells + 1)
+    counts = [0] * (top + 1)
+    for links in chains:
+        n = len(links) - 1
+        slack = top - sum(links) - d * sum(links[1:])
+        if slack < 0:
+            continue
+        grid = [range(links[k], min(links[k - 1], links[k] + slack) + 1)
+                for k in range(1, n + 1) for _ in range(d)]
+        for values in product(*grid):
+            fans = tuple(values[k * d:(k + 1) * d] for k in range(n))
+            weight = DiamondConfig(links, fans).total_weight()
+            if weight <= top:
+                counts[weight] += 1
+    return counts
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_walk_matches_literal_diamonds(d):
+    top = 12
+    assert count_rd_upto(d, top) == literal_counts(d, None, 0, top)
+    for n in (1, 2, 3):
+        plain = series_Ddn_bruteforce(d, n, top + 1).coeffs
+        assert list(plain) == literal_counts(d, n, 0, top)
+        for rho in (1, 2):
+            shifted = series_Ddn_shifted(d, n, rho, top + 1).coeffs
+            assert list(shifted) == literal_counts(d, n, rho, top)
+
+
+@SETTINGS
+@given(d=st.integers(0, 4), cells=st.one_of(st.none(), st.integers(1, 4)),
+       rho=st.integers(0, 2), top=st.integers(0, 12))
+@example(d=0, cells=None, rho=0, top=12)
+@example(d=4, cells=None, rho=0, top=12)
+@example(d=2, cells=4, rho=1, top=12)
+@example(d=3, cells=1, rho=2, top=12)
+def test_walk_matches_literal_diamonds_property(d, cells, rho, top):
+    if cells is None:
+        got = count_rd_upto(d, top)
+        rho = 0  # free length has no shift: a zero link ends the support
+    else:
+        got = list(series_Ddn_shifted(d, cells, rho, top + 1).coeffs)
+    assert got == literal_counts(d, cells, rho, top)
