@@ -140,6 +140,13 @@ def _check_d(args: argparse.Namespace) -> None:
         raise UsageError(f"--d is capped at {MAX_CLI_D}")
 
 
+def _check_positive(*flags) -> None:
+    """Refuse any (flag, value) pair below 1 before doing any work."""
+    for flag, value in flags:
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def _check_n(kind: str, flag: str, n: int | None) -> None:
     """--n is the ddn cell count: required there, refused elsewhere."""
     if kind == "ddn" and n is None:
@@ -227,10 +234,8 @@ def _check_crude(order: int = 15) -> dict:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    for flag, value in (("--d-max", args.d_max),
-                        ("--instances", args.instances)):
-        if value < 1:  # a check over nothing would pass
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+    # a check over nothing would pass
+    _check_positive(("--d-max", args.d_max), ("--instances", args.instances))
     runners = {
         "eulerian": lambda: _check_eulerian(args.d_max),
         "euler-factor": lambda: _check_euler_factor(min(args.N, 60)),
@@ -307,6 +312,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     _check_d(args)
+    # a progression that inspects no coefficient would be reported as zero
+    _check_positive(("--M-max", args.M_max),
+                    ("--min-support", args.min_support))
     ring = RingSpec(args.m)
     if args.series == "sd":
         series = sd_series(args.d, args.N, ring)

@@ -376,14 +376,23 @@ def test_scan_plain_matches_known_progressions(capsys):
     assert out.splitlines() == ["5 2", "5 3", "5 4"]
 
 
+@pytest.mark.parametrize("flag", ["--min-support", "--M-max"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_scan_min_support_below_one_exit_2(capsys, value):
+def test_scan_bounds_below_one_exit_2_before_building(capsys, monkeypatch,
+                                                      flag, value):
     # with no inspected coefficient every progression would be "zero"
-    code, out, err = run_cli(capsys, "scan", "--d", "1", "--m", "5",
-                             "--M-max", "60", "--N", "50",
-                             "--min-support", value, "--format", "plain")
-    assert (code, out, err) == (
-        2, "", f"error: min_support must be >= 1, got {value}\n")
+    def no_series(*args):
+        raise AssertionError("a series was built")
+
+    for name in ("rd_series", "sd_series"):
+        monkeypatch.setattr(cli, name, no_series)
+    argv = {"--d": "1", "--m": "5", "--M-max": "60", "--N": "50",
+            "--min-support": "10", flag: value}
+    code, out, err = run_cli(capsys, "scan", *(x for kv in argv.items()
+                                               for x in kv),
+                             "--format", "plain")
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 1, "
+                                       f"got {value}\n")
 
 
 def test_scan_json_shape(capsys):
