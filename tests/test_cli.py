@@ -21,9 +21,9 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def ddn_length(kind, n="2"):
+def ddn_length(kind):
     """The --n flag, which only the ddn series takes."""
-    return ("--n", n) if kind == "ddn" else ()
+    return ("--n", "2") if kind == "ddn" else ()
 
 
 def test_coeffs_sd_json(capsys):
@@ -109,21 +109,17 @@ def test_coeffs_ddn_requires_length(capsys):
     assert "requires --n" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("coeffs", "--series", "rd", "--d", "1", "--N", "3"),
-    ("coeffs", "--series", "sd", "--d", "1", "--N", "3", "--mod", "5"),
-    ("oracle", "--kind", "rd", "--d", "1", "--N", "5"),
-    ("oracle", "--kind", "sd", "--d", "1", "--N", "5"),
-], ids=["coeffs-rd", "coeffs-sd", "oracle-rd", "oracle-sd"])
-def test_length_flag_only_for_ddn(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("command, flag", [("coeffs", "--series"),
+                                           ("oracle", "--kind")])
+@pytest.mark.parametrize("kind", ["rd", "sd"])
+def test_length_flag_only_for_ddn(capsys, monkeypatch, command, flag, kind):
     def no_work(*args, **kwargs):
         raise AssertionError("built or enumerated with a stray --n")
 
     for name in ("rd_series", "sd_series", "count_rd_upto", "count_sd_upto"):
         monkeypatch.setattr(cli, name, no_work)
-    kind = argv[argv.index("--d") - 1]
-    code, out, err = run_cli(capsys, *argv, "--n", "4")
-    flag = "--series" if argv[0] == "coeffs" else "--kind"
+    code, out, err = run_cli(capsys, command, flag, kind, "--d", "1",
+                             "--N", "5", "--n", "4")
     assert (code, out, err) == (
         2, "", f"error: --n applies only to {flag} ddn, not {kind}\n")
 
@@ -386,11 +382,7 @@ def test_scan_bounds_below_one_exit_2_before_building(capsys, monkeypatch,
 
     for name in ("rd_series", "sd_series"):
         monkeypatch.setattr(cli, name, no_series)
-    argv = {"--d": "1", "--m": "5", "--M-max": "60", "--N": "50",
-            "--min-support": "10", flag: value}
-    code, out, err = run_cli(capsys, "scan", *(x for kv in argv.items()
-                                               for x in kv),
-                             "--format", "plain")
+    code, out, err = run_cli(capsys, *SCAN, flag, value)
     assert (code, out, err) == (2, "", f"error: {flag} must be >= 1, "
                                        f"got {value}\n")
 
