@@ -235,7 +235,8 @@ def _check_crude(order: int = 15) -> dict:
 
 def cmd_identities(args: argparse.Namespace) -> int:
     # a check over nothing would pass
-    _check_positive(("--d-max", args.d_max), ("--instances", args.instances))
+    _check_positive(("--d-max", args.d_max), ("--N", args.N),
+                    ("--instances", args.instances))
     runners = {
         "eulerian": lambda: _check_eulerian(args.d_max),
         "euler-factor": lambda: _check_euler_factor(min(args.N, 60)),

@@ -13,6 +13,14 @@ independent power specializations is a sound desk-scale verification and
 sidesteps multivariate series algebra entirely; everything is treated as a
 formal series, never analytically.
 
+omega_bruteforce expands the left side term by term without the formula.
+The tuples (a_1..a_d) enter through one table that counts them by sum
+a_1 + ... + a_d and by q-weight, built one x variable at a time, and the
+lambda filter then runs literally over the exponent a_{d+1} of y.  The
+table depends only on the sorted x-exponents and the order, so instances
+that share them share one table (a private lru_cache).  No closed form
+and no series division enter the brute force.
+
 crude_Dd1_check does the same for the one-cell diamond generating function:
 direct enumeration of the node values against the closed form with the
 F_d numerator.
@@ -23,8 +31,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from .polynomials import fd_poly
 from .series import Record, TruncatedSeries, ZZ, div_one_minus, mul_sparse
@@ -71,34 +80,46 @@ def omega_bruteforce(inst: OmegaInstance, order: int) -> TruncatedSeries:
 
     Term (a_1..a_d, a_{d+1}) carries lambda^(j + sum a_i - a_{d+1}) and
     q^(sum alpha_i a_i + beta a_{d+1}); terms with negative lambda exponent
-    are dropped, lambda is set to 1, and the q-exponent is truncated.
+    are dropped, lambda is set to 1, and the q-exponent is truncated.  The
+    tuples (a_1..a_d) come counted from _tuples_by_sum_and_weight; for each
+    a_{d+1} in 0..(order - 1) // beta the filter keeps those with
+    sum a_i >= a_{d+1} - j, shifted by beta a_{d+1}.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    alphas = inst.x_exponents
     beta = inst.y_exponent
+    at_least = _tuples_by_sum_and_weight(tuple(sorted(inst.x_exponents)),
+                                         order)
     coeffs = [0] * order
-    top = order - 1
-
-    def rec(i: int, q_exp: int, a_sum: int):
-        if i == inst.d:
-            lam_cap = inst.j + a_sum
-            if lam_cap < 0:
-                return
-            a_last_max = min(lam_cap, (top - q_exp) // beta)
-            for a_last in range(a_last_max + 1):
-                coeffs[q_exp + beta * a_last] += 1
-            return
-        step = alphas[i]
-        e = q_exp
-        a = 0
-        while e <= top:
-            rec(i + 1, e, a_sum + a)
-            e += step
-            a += 1
-
-    rec(0, 0, 0)
+    for a_last in range((order - 1) // beta + 1):
+        s = max(a_last - inst.j, 0)
+        if s < len(at_least):
+            shift = beta * a_last
+            coeffs[shift:] = map(add, coeffs[shift:], at_least[s])
     return TruncatedSeries.from_coeffs(coeffs, ring=ZZ)
+
+
+# the suite's instances (d <= 4, exponents <= 5) have 125 distinct tables
+@lru_cache(maxsize=256)
+def _tuples_by_sum_and_weight(alphas: tuple, order: int) -> tuple:
+    """Row s counts the tuples (a_1..a_d) >= 0 with sum a_i >= s by their
+    weight sum alpha_i a_i < order; alphas sorted, so instances that share
+    them share the table.
+
+    rows[s][e] first counts the tuples with sum exactly s.  Each x variable
+    enters in turn: a_i = 0 keeps row s, and each further unit of a_i moves
+    the updated row s - 1 up by alpha_i.  Suffix sums over s then give the
+    rows returned.  A tuple of weight < order has sum <= (order - 1) //
+    min(alphas), so later rows would be zero and are left out.
+    """
+    rows = [[0] * order for _ in range((order - 1) // alphas[0] + 1)]
+    rows[0][0] = 1
+    for alpha in alphas:
+        for below, row in zip(rows, rows[1:]):
+            row[alpha:] = map(add, row[alpha:], below)
+    for s in range(len(rows) - 2, -1, -1):
+        rows[s] = list(map(add, rows[s], rows[s + 1]))
+    return tuple(map(tuple, rows))
 
 
 def omega_closed_form(inst: OmegaInstance, order: int) -> TruncatedSeries:

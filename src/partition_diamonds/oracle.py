@@ -296,30 +296,41 @@ def _walk_chains(d: int, cells: int | None, rho: int, top: int) -> list:
     counts[i] is the number of prefixes with this chain of weight w + i.
     Closing a cell at the next link c <= a shifts by c, then adds the d
     fans one at a time: a fan takes each value in [c, a], so it shifts by c
-    and sums a window of width a - c + 1.  A state is complete after
-    `cells` cells (None: free length), or once its last link is 0: with
-    rho = 0 every later node is forced to 0, so the zero tail is one
-    completion of the same weight.
+    and sums a window of width a - c + 1.  The first fan reads the prefix
+    sums of the popped counts, the same for every c, so they are taken once
+    per state.  A prefix is complete after `cells` cells (None: free
+    length), or once its last link is 0: with rho = 0 every later node is
+    forced to 0, so the zero tail is one completion of the same weight.
+    Complete prefixes go straight into the result; only the others are
+    pushed.
     """
     _check_width(d)
     counts = [0] * (top + 1)
-    stack = [(a0, 0, a0, [1] + [0] * (top - a0))
-             for a0 in range(rho, top + 1)]
+    stack = []
+    for a0 in range(rho, top + 1):
+        if a0 == 0 or cells == 0:
+            counts[a0] += 1
+        else:
+            stack.append((a0, 0, a0, [1] + [0] * (top - a0)))
     while stack:
         a, k, w, vec = stack.pop()
-        if a == 0 or k == cells:
-            counts[w:] = map(add, counts[w:], vec)
-            continue
+        k += 1
+        first = list(accumulate(vec, initial=0))
         # link c costs at least c + d*c (fans are >= c)
         for c in range(rho, min(a, (top - w) // (d + 1)) + 1):
             size = top - w - c + 1
-            nxt = vec[:size]
-            for _ in range(d):
+            nxt, run = vec[:size], first
+            for fan in range(d):
+                if fan:
+                    run = list(accumulate(nxt, initial=0))
                 size -= c
-                run = list(accumulate(nxt, initial=0))
                 nxt = list(map(sub, run[1:size + 1],
                                chain(repeat(0, a - c), run)))
-            stack.append((c, k + 1, w + (d + 1) * c, nxt))
+            child = w + (d + 1) * c
+            if c == 0 or k == cells:
+                counts[child:] = map(add, counts[child:], nxt)
+            else:
+                stack.append((c, k, child, nxt))
     return counts
 
 

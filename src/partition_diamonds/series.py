@@ -7,10 +7,12 @@ beyond q^N: every binary operation truncates to the minimum order of its
 inputs.
 
 TruncatedSeries is the public value type.  Its multiplication is schoolbook
-convolution that skips zero coefficients, so products against sparse
+convolution: each nonzero coefficient of the sparser operand adds one
+shifted, scaled copy of the other with map(), so products against sparse
 factors run in O(N * nnz) instead of O(N^2); product_family multiplies such
 factors one by one and is the reference path the closed forms are tested
-against.
+against.  Over Z/mZ every result is reduced once, in one map(mod, ...)
+pass (RingSpec.reduced).
 
 The closed forms in genfun and omega run on a plain coefficient list
 instead, with three in-place primitives: mul_sparse multiplies by a sparse
@@ -36,8 +38,8 @@ from collections.abc.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from itertools import accumulate, repeat
-from operator import add, mod, mul
+from itertools import accumulate, compress, repeat
+from operator import add, mod, mul, neg, sub
 
 __all__ = [
     "RingSpec",
@@ -121,6 +123,11 @@ class RingSpec(Record):
     def is_exact(self) -> bool:
         return self.modulus is None
 
+    def reduced(self, coeffs: Iterable[int]) -> tuple:
+        """The coefficients as a tuple, each reduced into [0, m) over Z/mZ."""
+        m = self.modulus
+        return tuple(coeffs if m is None else map(mod, coeffs, repeat(m)))
+
     def normalize(self, c: int) -> int:
         """Canonical representative: c itself over Z, c mod m in [0, m)."""
         return c if self.modulus is None else c % self.modulus
@@ -180,13 +187,13 @@ class TruncatedSeries(Record):
         Padding asserts those coefficients really are zero; callers building
         a polynomial into a longer series rely on this.
         """
-        cs = [ring.normalize(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
             if len(cs) > order:
                 cs = cs[:order]
             else:
                 cs.extend([0] * (order - len(cs)))
-        return TruncatedSeries(ring, tuple(cs))
+        return TruncatedSeries(ring, ring.reduced(cs))
 
     @staticmethod
     def from_terms(terms: Mapping[int, int], order: int,
@@ -241,42 +248,37 @@ class TruncatedSeries(Record):
 
     # -- arithmetic ----------------------------------------------------
 
+    # map() stops at its shortest argument, which truncates to the lower
+    # order of the two operands
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         ring = self._common_ring(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(ring, tuple(
-            ring.normalize(self.coeffs[i] + other.coeffs[i]) for i in range(n)
-        ))
+        return TruncatedSeries(
+            ring, ring.reduced(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         ring = self._common_ring(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(ring, tuple(
-            ring.normalize(self.coeffs[i] - other.coeffs[i]) for i in range(n)
-        ))
+        return TruncatedSeries(
+            ring, ring.reduced(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        ring = self.ring
-        return TruncatedSeries(ring, tuple(ring.normalize(-c) for c in self.coeffs))
+        return TruncatedSeries(self.ring,
+                               self.ring.reduced(map(neg, self.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         ring = self._common_ring(other)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # convolve with the sparser operand outermost
-        nnz_a = sum(1 for c in a[:n] if c)
-        nnz_b = sum(1 for c in b[:n] if c)
-        if nnz_b > nnz_a:
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        # convolve with the sparser operand outermost: each nonzero b[i]
+        # adds the row b[i] * a, shifted by i, onto out[i:]
+        if b.count(0) < a.count(0):
             a, b = b, a
         out = [0] * n
-        for i in range(n):
-            ci = b[i]
-            if ci:
-                for j in range(n - i):
-                    aj = a[j]
-                    if aj:
-                        out[i + j] += ci * aj
-        return TruncatedSeries(ring, tuple(ring.normalize(c) for c in out))
+        for i in compress(range(n), b):
+            c = b[i]
+            out[i:] = map(add, out[i:],
+                          a if c == 1 else map(mul, a, repeat(c)))
+        return TruncatedSeries(ring, ring.reduced(out))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; constant term must be a unit."""
@@ -337,12 +339,12 @@ def product_family(factor_at: Callable[[int], TruncatedSeries], order: int,
             raise ValueError(
                 f"factor {n} has constant term {f.coeffs[0]}, need 1"
             )
-        for i in range(1, min(n, order)):
-            if f.coeffs[i]:
-                raise ValueError(
-                    f"factor {n} has a q^{i} term; lowest non-constant "
-                    f"exponent must be >= {n}"
-                )
+        if any(f.coeffs[1:n]):
+            i = next(compress(range(1, n), f.coeffs[1:n]))
+            raise ValueError(
+                f"factor {n} has a q^{i} term; lowest non-constant "
+                f"exponent must be >= {n}"
+            )
         acc = acc * f
     return acc
 
@@ -556,7 +558,7 @@ def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
             f"cannot reduce mod {m} from mod {a.ring.modulus}: "
             "not a ring projection"
         )
-    return TruncatedSeries(target, tuple(c % m for c in a.coeffs))
+    return TruncatedSeries(target, target.reduced(a.coeffs))
 
 
 # ---------------------------------------------------------------------

@@ -301,7 +301,7 @@ def test_flags_parse_only_where_read(capsys, argv, flag):
     assert f"unrecognized arguments: {flag} 5" in out.err
 
 
-@pytest.mark.parametrize("flag", ["--instances", "--d-max"])
+@pytest.mark.parametrize("flag", ["--instances", "--d-max", "--N"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_identities_empty_bounds_exit_2_before_any_check(
         capsys, monkeypatch, flag, value):
@@ -312,7 +312,8 @@ def test_identities_empty_bounds_exit_2_before_any_check(
                  "_check_pentagonal", "_check_jacobi", "_check_mersmann",
                  "_check_omega", "_check_crude"):
         monkeypatch.setattr(cli, name, no_check)
-    for only in ("omega", "eulerian", None):
+    # every check refuses every bound, also one it does not read
+    for only in ("omega", "crude", "eulerian", None):
         argv = ["identities", flag, value]
         if only:
             argv += ["--only", only]

@@ -1,12 +1,55 @@
-"""Omega elimination: brute force and closed form must agree everywhere."""
+"""Omega elimination: brute force and closed form must agree everywhere.
+
+omega_bruteforce counts the tuples (a_1..a_d) from a table by sum and
+weight; literal_omega_bruteforce below visits every term one at a time, and
+the two must agree on every instance.
+"""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partition_diamonds.omega import (
     OmegaInstance, UnsupportedInstanceError, crude_Dd1_check,
     omega_bruteforce, omega_closed_form, random_instances, run_omega_suite,
 )
 from partition_diamonds.series import TruncatedSeries, ZZ
+
+
+def literal_omega_bruteforce(inst: OmegaInstance,
+                             order: int) -> TruncatedSeries:
+    """Expand the pre-elimination sum and filter on the lambda exponent.
+
+    Term (a_1..a_d, a_{d+1}) carries lambda^(j + sum a_i - a_{d+1}) and
+    q^(sum alpha_i a_i + beta a_{d+1}); terms with negative lambda exponent
+    are dropped, lambda is set to 1, and the q-exponent is truncated.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    alphas = inst.x_exponents
+    beta = inst.y_exponent
+    coeffs = [0] * order
+    top = order - 1
+
+    def rec(i: int, q_exp: int, a_sum: int):
+        if i == inst.d:
+            lam_cap = inst.j + a_sum
+            if lam_cap < 0:
+                return
+            a_last_max = min(lam_cap, (top - q_exp) // beta)
+            for a_last in range(a_last_max + 1):
+                coeffs[q_exp + beta * a_last] += 1
+            return
+        step = alphas[i]
+        e = q_exp
+        a = 0
+        while e <= top:
+            rec(i + 1, e, a_sum + a)
+            e += step
+            a += 1
+
+    rec(0, 0, 0)
+    return TruncatedSeries.from_coeffs(coeffs, ring=ZZ)
 
 
 def two_factor_geometric(e1, e2, order):
@@ -104,3 +147,53 @@ def test_crude_check_guard():
         crude_Dd1_check(4, 1, 1, 1, 10)
     with pytest.raises(ValueError, match="guard"):
         crude_Dd1_check(2, 1, 1, 1, 31)
+
+
+# -- the tabulated brute force against the literal one --------------------
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_bruteforce_equals_literal_on_suite_instances(seed):
+    for inst in random_instances(300, seed):
+        assert omega_bruteforce(inst, 20) == \
+            literal_omega_bruteforce(inst, 20), inst
+
+
+@pytest.mark.parametrize("inst, order", [
+    (OmegaInstance(0, 1, (1,), 1), 1),
+    (OmegaInstance(-1, 3, (2, 1, 3), 2), 1),
+    (OmegaInstance(-50, 2, (1, 1), 1), 30),
+    (OmegaInstance(-50, 3, (1, 2, 1), 1), 60),
+    (OmegaInstance(3, 2, (12, 1), 2), 12),      # alpha == order
+    (OmegaInstance(0, 2, (40, 50), 3), 12),     # every alpha beyond order
+    (OmegaInstance(2, 2, (1, 2), 12), 12),      # beta == order
+    (OmegaInstance(-1, 1, (3,), 99), 12),       # beta beyond order
+    (OmegaInstance(1, 1, (1,), 1), 2),
+    (OmegaInstance(30, 4, (1, 1, 1, 1), 1), 25),  # j above every sum
+], ids=str)
+def test_bruteforce_equals_literal_on_edge_cases(inst, order):
+    assert omega_bruteforce(inst, order) == \
+        literal_omega_bruteforce(inst, order)
+
+
+def test_bruteforce_ignores_exponent_order():
+    # instances with the same exponents share one table; each must still
+    # get its own filter
+    for j in (-2, 0, 3):
+        for x in ((1, 2, 5), (5, 1, 2), (2, 5, 1)):
+            inst = OmegaInstance(j, 3, x, 2)
+            assert omega_bruteforce(inst, 18) == \
+                literal_omega_bruteforce(inst, 18)
+        assert omega_bruteforce(OmegaInstance(j, 3, (1, 2, 5), 2), 18) == \
+            omega_bruteforce(OmegaInstance(j, 3, (5, 2, 1), 2), 18)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-30, 30),
+       x=st.lists(st.integers(1, 25), min_size=1, max_size=5),
+       beta=st.integers(1, 25), order=st.integers(1, 24))
+@example(j=-1, x=[1, 1, 1, 1, 1], beta=1, order=24)
+@example(j=0, x=[24], beta=24, order=24)
+def test_bruteforce_equals_literal_property(j, x, beta, order):
+    inst = OmegaInstance(j, len(x), tuple(x), beta)
+    assert omega_bruteforce(inst, order) == \
+        literal_omega_bruteforce(inst, order)

@@ -237,6 +237,85 @@ def test_reduce_commutes_with_mul_and_pow():
         assert reduce_mod(a ** e, m) == reduce_mod(a, m) ** e
 
 
+# -- map-based kernels against literal per-coefficient loops -------------
+
+BIG = 10 ** 19 + 9  # 20 digits
+KERNEL_RINGS = [ZZ, RingSpec(7), RingSpec(2 ** 64 - 59)]
+
+
+def literal_product(a, b, ring):
+    """Schoolbook double loop over all index pairs, reduced at the end."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(ring.normalize(c) for c in out)
+
+
+def kernel_coeffs(rng, order):
+    """Zero-heavy coefficients: 0, +-1, 20-digit values and small ints."""
+    pool = (0, 0, 0, 0, 1, -1, BIG, -BIG, 10 ** 20 - 1)
+    return [rng.choice(pool) if rng.random() < 0.8
+            else rng.randint(-BIG, BIG) for _ in range(order)]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+def test_mul_equals_literal_convolution(ring):
+    rng = random.Random(4100 + (ring.modulus or 0) % 1000)
+    for _ in range(300):
+        a = TruncatedSeries.from_coeffs(
+            kernel_coeffs(rng, rng.randint(1, 40)), ring=ring)
+        # same or different order, and sometimes all zeros or a monomial
+        b_order = rng.choice([a.order, rng.randint(1, 40)])
+        b_coeffs = rng.choice([kernel_coeffs(rng, b_order), [0] * b_order,
+                               [0] * (b_order - 1) + [rng.choice((1, -1))]])
+        b = TruncatedSeries.from_coeffs(b_coeffs, ring=ring)
+        want = literal_product(a.coeffs, b.coeffs, ring)
+        assert (a * b).coeffs == want
+        assert (b * a).coeffs == want
+        assert (a * b).ring == ring
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+def test_add_sub_neg_from_coeffs_equal_literal_loops(ring):
+    rng = random.Random(4200 + (ring.modulus or 0) % 1000)
+    for _ in range(200):
+        raw = kernel_coeffs(rng, rng.randint(1, 30))
+        order = rng.choice([None, rng.randint(1, 40)])
+        want = [ring.normalize(c) for c in raw]
+        if order is not None:
+            want = (want + [0] * order)[:order]
+        a = TruncatedSeries.from_coeffs(raw, order, ring)
+        assert a.coeffs == tuple(want)
+        b = TruncatedSeries.from_coeffs(
+            kernel_coeffs(rng, rng.randint(1, 30)), ring=ring)
+        pairs = list(zip(a.coeffs, b.coeffs))
+        assert (a + b).coeffs == tuple(ring.normalize(x + y)
+                                       for x, y in pairs)
+        assert (a - b).coeffs == tuple(ring.normalize(x - y)
+                                       for x, y in pairs)
+        assert (-a).coeffs == tuple(ring.normalize(-x) for x in a.coeffs)
+
+
+def test_product_family_error_messages():
+    with pytest.raises(ValueError) as exc:
+        product_family(lambda n: S({0: 2}, 6), 6)
+    assert str(exc.value) == "factor 1 has constant term 2, need 1"
+
+    def low(n):
+        # factor 5 has its lowest non-constant term at q^3, not q^1
+        return S({0: 1, 3: 4, 4: 1}, 9) if n == 5 else S({0: 1, n: -1}, 9)
+
+    with pytest.raises(ValueError) as exc:
+        product_family(low, 9)
+    assert str(exc.value) == ("factor 5 has a q^3 term; lowest non-constant "
+                              "exponent must be >= 5")
+    # a term at q^n itself is within the contract
+    got = product_family(lambda n: S({0: 1, n: -1, n + 1: 1}, 9), 9)
+    assert got.order == 9
+
+
 # -- serialization -------------------------------------------------------
 
 def test_json_roundtrip():
