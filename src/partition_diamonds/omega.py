@@ -93,9 +93,10 @@ def omega_bruteforce(inst: OmegaInstance, order: int) -> TruncatedSeries:
     coeffs = [0] * order
     for a_last in range((order - 1) // beta + 1):
         s = max(a_last - inst.j, 0)
-        if s < len(at_least):
-            shift = beta * a_last
-            coeffs[shift:] = map(add, coeffs[shift:], at_least[s])
+        if s >= len(at_least):
+            break  # no tuple of weight < order has that large a sum
+        shift = beta * a_last
+        coeffs[shift:] = map(add, coeffs[shift:], at_least[s])
     return TruncatedSeries.from_coeffs(coeffs, ring=ZZ)
 
 
