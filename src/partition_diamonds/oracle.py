@@ -38,7 +38,7 @@ enumeration is affordable, never what it returns.
 from __future__ import annotations
 
 import os
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, product, repeat
 from math import comb
 from operator import add, mul, sub
 
@@ -323,9 +323,11 @@ def _walk_chains(d: int, cells: int | None, rho: int, top: int) -> list:
             for fan in range(d):
                 if fan:
                     run = list(accumulate(nxt, initial=0))
+                # nxt[i] = run[i + 1] - run[i - (a - c)], the window of
+                # width a - c + 1 ending at i (run[0] = 0)
                 size -= c
-                nxt = list(map(sub, run[1:size + 1],
-                               chain(repeat(0, a - c), run)))
+                nxt = run[1:size + 1]
+                nxt[a - c:] = map(sub, nxt[a - c:], run)
             child = w + (d + 1) * c
             if c == 0 or k == cells:
                 counts[child:] = map(add, counts[child:], nxt)
