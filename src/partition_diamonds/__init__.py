@@ -60,6 +60,7 @@ from .congruences import (
     internal_congruence_check,
     scan_progressions,
     verify_claim,
+    verify_claims,
 )
 
 __version__ = "0.1.0"

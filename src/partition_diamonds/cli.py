@@ -18,7 +18,7 @@ import sys
 from itertools import product
 
 from .congruences import (builtin_claims, claim_by_label,
-                          report_to_json_dict, scan_progressions, verify_claim)
+                          report_to_json_dict, scan_progressions, verify_claims)
 from .genfun import (ddn_series_closed, mersmann_F_series, rd_series,
                      sd_series)
 from .omega import crude_Dd1_check, run_omega_suite
@@ -32,13 +32,6 @@ from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
 DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
 BUDGET_HELP = ("work guard, a positive integer, checked before any estimate "
                "(default DIAMOND_BUDGET, else 1e9)")
-
-
-class UsageError(Exception):
-    """Bad flag combination caught after argparse (maps to exit code 2)."""
-
-IDENTITY_NAMES = ("eulerian", "euler-factor", "pentagonal", "jacobi",
-                  "mersmann", "omega", "crude")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_coeffs)
 
     p = sub.add_parser("identities", help="run the identity check suite")
-    p.add_argument("--only", choices=IDENTITY_NAMES, default=None)
+    p.add_argument("--only", choices=IDENTITY_CHECKS, default=None)
     p.add_argument("--d-max", type=int, default=12)
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--instances", type=int, default=200,
@@ -135,38 +128,43 @@ MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
 
 def _check_d(args: argparse.Namespace) -> None:
     if args.d < 1:
-        raise UsageError(f"--d must be >= 1, got {args.d}")
+        raise ValueError(f"--d must be >= 1, got {args.d}")
     if args.d > MAX_CLI_D:
-        raise UsageError(f"--d is capped at {MAX_CLI_D}")
+        raise ValueError(f"--d is capped at {MAX_CLI_D}")
 
 
 def _check_positive(*flags) -> None:
     """Refuse any (flag, value) pair below 1 before doing any work."""
     for flag, value in flags:
         if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+            raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _check_n(kind: str, flag: str, n: int | None) -> None:
     """--n is the ddn cell count: required there, refused elsewhere."""
     if kind == "ddn" and n is None:
-        raise UsageError(f"{flag} ddn requires --n")
+        raise ValueError(f"{flag} ddn requires --n")
     if kind != "ddn" and n is not None:
-        raise UsageError(f"--n applies only to {flag} ddn, not {kind}")
+        raise ValueError(f"--n applies only to {flag} ddn, not {kind}")
+
+
+def _closed_form(kind: str, d: int, order: int, n: int | None = None,
+                 mod: int | None = None) -> TruncatedSeries:
+    """The rd, sd or ddn closed form below `order`, over Z/mod if given."""
+    # RingSpec refuses a bad modulus before anything is built
+    ring = ZZ if mod is None else RingSpec(mod)
+    if kind == "ddn":
+        series = ddn_series_closed(d, n, order)
+        # ddn has no ring argument
+        return series if mod is None else reduce_mod(series, mod)
+    build = rd_series if kind == "rd" else sd_series
+    return build(d, order, ring)
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     _check_d(args)
     _check_n(args.series, "--series", args.n)
-    ring = ZZ if args.mod is None else RingSpec(args.mod)
-    if args.series == "ddn":
-        series = ddn_series_closed(args.d, args.n, args.N)
-        if args.mod is not None:  # ddn has no ring argument
-            series = reduce_mod(series, args.mod)
-    elif args.series == "rd":
-        series = rd_series(args.d, args.N, ring)
-    else:
-        series = sd_series(args.d, args.N, ring)
+    series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
     _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
           ((i, str(c)) for i, c in enumerate(series.coeffs)))
     return 0
@@ -233,21 +231,24 @@ def _check_crude(order: int = 15) -> dict:
             "detail": {"order": order, "failures": bad}}
 
 
+# --only choices, in run order; each check is looked up when it runs
+IDENTITY_CHECKS = {
+    "eulerian": lambda args: _check_eulerian(args.d_max),
+    "euler-factor": lambda args: _check_euler_factor(min(args.N, 60)),
+    "pentagonal": lambda args: _check_pentagonal(args.N),
+    "jacobi": lambda args: _check_jacobi(args.N),
+    "mersmann": lambda args: _check_mersmann(args.N),
+    "omega": lambda args: _check_omega(args.instances, args.seed),
+    "crude": lambda args: _check_crude(),
+}
+
+
 def cmd_identities(args: argparse.Namespace) -> int:
     # a check over nothing would pass
     _check_positive(("--d-max", args.d_max), ("--N", args.N),
                     ("--instances", args.instances))
-    runners = {
-        "eulerian": lambda: _check_eulerian(args.d_max),
-        "euler-factor": lambda: _check_euler_factor(min(args.N, 60)),
-        "pentagonal": lambda: _check_pentagonal(args.N),
-        "jacobi": lambda: _check_jacobi(args.N),
-        "mersmann": lambda: _check_mersmann(args.N),
-        "omega": lambda: _check_omega(args.instances, args.seed),
-        "crude": lambda: _check_crude(),
-    }
-    names = [args.only] if args.only else list(IDENTITY_NAMES)
-    checks = [runners[name]() for name in names]
+    names = [args.only] if args.only else IDENTITY_CHECKS
+    checks = [IDENTITY_CHECKS[name](args) for name in names]
     passed = all(c["passed"] for c in checks)
     _emit({"checks": checks, "passed": passed})
     return 0 if passed else 1
@@ -261,13 +262,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.kind == "ddn":
         counts = series_Ddn_bruteforce(args.d, args.n, args.N,
                                        args.budget).coeffs
-        closed = ddn_series_closed(args.d, args.n, args.N)
     elif args.kind == "rd":
         counts = count_rd_upto(args.d, args.N - 1, args.budget)
-        closed = rd_series(args.d, args.N)
     else:
         counts = count_sd_upto(args.d, args.N - 1, args.budget)
-        closed = sd_series(args.d, args.N)
+    closed = _closed_form(args.kind, args.d, args.N, args.n)
     for n, (got, want) in enumerate(zip(closed.coeffs, counts)):
         if got != want:
             mismatches.append({"index": n, "closed_form": str(got),
@@ -292,11 +291,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             claims = [claim_by_label(args.claim)]
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise ValueError(str(exc)) from None
     else:
         claims = list(builtin_claims())
-    reports = [verify_claim(c, args.k_max, args.n_max, args.budget)
-               for c in claims]
+    reports = verify_claims(claims, args.k_max, args.n_max, args.budget)
     dicts = [report_to_json_dict(r) for r in reports]
     rows = []
     for d in dicts:
@@ -316,11 +314,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # a progression that inspects no coefficient would be reported as zero
     _check_positive(("--M-max", args.M_max),
                     ("--min-support", args.min_support))
-    ring = RingSpec(args.m)
-    if args.series == "sd":
-        series = sd_series(args.d, args.N, ring)
-    else:
-        series = rd_series(args.d, args.N, ring)
+    series = _closed_form(args.series, args.d, args.N, mod=args.m)
     found = scan_progressions(series, args.M_max, args.min_support)
     _emit({"series": args.series, "d": args.d, "m": args.m,
            "M_max": args.M_max, "N": args.N,
@@ -333,9 +327,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2

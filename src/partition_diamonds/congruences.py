@@ -8,6 +8,8 @@ where m is either fixed or 2^d for the power-of-two family.  verify_claim
 checks a claim exhaustively up to (k_max, n_max) by building the s_d series
 in the residue ring and inspecting the arithmetic progression; the first
 non-zero residue short-circuits into a counterexample witness.
+verify_claims runs a list of claims, guarding every one before it builds
+anything.
 
 builtin_claims catalogs the known families (mod 2^d, three mod-5 groups, a
 mod-11 family) plus eight conjectural mod-7 families that are verified with
@@ -31,6 +33,7 @@ __all__ = [
     "builtin_claims",
     "claim_by_label",
     "verify_claim",
+    "verify_claims",
     "internal_congruence_check",
     "euler_phi",
     "scan_progressions",
@@ -141,13 +144,19 @@ def _claim_work_estimate(claim: CongruenceClaim, k_max: int, n_max: int) -> int:
     return (k_max + 1) * order * order
 
 
-def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
-                 budget: int | None = None) -> ClaimReport:
-    """Check the claim for k <= k_max, n <= n_max; exact residue arithmetic."""
+def _guard_claim(claim: CongruenceClaim, k_max: int, n_max: int,
+                 budget: int | None) -> None:
+    """Check the bounds, then refuse the claim if it exceeds the budget."""
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
     check_budget(budget, lambda: _claim_work_estimate(claim, k_max, n_max),
                  f"claim {claim.label or claim}", "work units")
+
+
+def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
+                 budget: int | None = None) -> ClaimReport:
+    """Check the claim for k <= k_max, n <= n_max; exact residue arithmetic."""
+    _guard_claim(claim, k_max, n_max, budget)
     order = claim.prog_modulus * n_max + claim.residue + 1
     for k in range(k_max + 1):
         d = claim.d_at(k)
@@ -160,6 +169,15 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
                 return ClaimReport(claim, k_max, n_max, "counterexample",
                                    Witness(d, idx, value))
     return ClaimReport(claim, k_max, n_max, "verified_up_to_bounds")
+
+
+def verify_claims(claims, k_max: int, n_max: int,
+                  budget: int | None = None) -> list:
+    """verify_claim for each claim, in order, once every claim has passed
+    its guard: a refused claim stops the run before any series is built."""
+    for claim in claims:
+        _guard_claim(claim, k_max, n_max, budget)
+    return [verify_claim(claim, k_max, n_max, budget) for claim in claims]
 
 
 def _factorize(m: int) -> dict:

@@ -18,12 +18,14 @@ complete once its cell count is reached or its last link is 0.  With floor
 0 a zero link forces every later node to 0, so that one stop is the
 support quotient for free length, and for a fixed shape it counts the
 forced zero tail once instead of walking it cell by cell.  count_sd_upto
-walks the link chains too and multiplies out the independent fan choices
-of its cells, and count_sd_raw iterates those fan values, one diamond at a
-time.  This module is the ground-truth oracle the closed-form generating
-functions are tested against, so it must not reuse the algebra it is
-checking: it takes nothing from genfun or polynomials, and from series
-only the TruncatedSeries return type and the Record base class.
+walks the link chains from its own explicit stack and multiplies out the
+independent fan choices of its cells; count_sd_raw walks them from a
+stack too, but iterates those fan values, one diamond at a time.  No
+function here recurses.  This module is the ground-truth oracle the
+closed-form generating functions are tested against, so it must not reuse
+the algebra it is checking: it takes nothing from genfun or polynomials,
+and from series only the TruncatedSeries return type and the Record base
+class.
 
 Every enumerator first runs the one guard, check_budget: it validates the
 budget, then computes an exact count of its result: the number of diamonds
@@ -354,22 +356,6 @@ def count_rd(d: int, n: int, budget: int | None = None) -> int:
     return count_rd_upto(d, n, budget)[n]
 
 
-def _link_chains(n: int):
-    """Weakly decreasing positive integer chains summing to n (partitions)."""
-
-    def rec(prefix, largest, rem):
-        if rem == 0:
-            yield prefix
-            return
-        for part in range(min(largest, rem), 0, -1):
-            yield from rec(prefix + [part], part, rem - part)
-
-    if n == 0:
-        yield []
-    else:
-        yield from rec([], n, n)
-
-
 def count_sd_upto(d: int, n_max: int, budget: int | None = None) -> list:
     """[s_d(0), ..., s_d(n_max)]: diamonds graded by link sum only.
 
@@ -405,22 +391,29 @@ def count_sd(d: int, n: int, budget: int | None = None) -> int:
 def count_sd_raw(d: int, n: int, budget: int | None = None) -> int:
     """Schmidt-type count with every fan assignment enumerated explicitly.
 
-    Independent of the (gap+1)^d shortcut that count_sd_upto uses; kept as
-    the raw oracle for cross-checking it.  The guard's estimate is s_d(n)
-    itself, the number of configurations enumerated.
+    Walks the link chains of weight n from an explicit stack of (last
+    link, link sum, fan ranges of the closed cells), as count_sd_upto does.
+    A chain of link sum n closes with a drop to zero, and
+    itertools.product then iterates every fan value of every cell, one
+    diamond at a time.  Independent of the (gap+1)^d shortcut that
+    count_sd_upto uses; kept as the raw oracle for cross-checking it.  The
+    guard's estimate is s_d(n) itself, the number of diamonds enumerated.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
     check_budget(budget, lambda: count_sd(d, n, budget),
                  f"count_sd_raw(d={d}, n={n})")
     total = 0
-    for chain in _link_chains(n):
-        links = chain + [0]
-        ranges = []
-        for k in range(1, len(links)):
-            ranges.extend([range(links[k], links[k - 1] + 1)] * d)
-        for _ in product(*ranges):
-            total += 1
+    # n = 0 has one diamond: a zero link, its fans forced to zero
+    stack = [(a0, a0, ()) for a0 in range(n, 0, -1)] or [(0, 0, ())]
+    while stack:
+        last, used, ranges = stack.pop()
+        if used == n:
+            for _ in product(*ranges, *[range(last + 1)] * d):
+                total += 1
+            continue
+        for a in range(min(last, n - used), 0, -1):
+            stack.append((a, used + a, ranges + (range(a, last + 1),) * d))
     return total
 
 

@@ -365,6 +365,21 @@ def test_verify_unknown_claim(capsys):
     assert "nope" in err
 
 
+def test_verify_all_refuses_before_any_build(capsys, monkeypatch):
+    # mod11 is the first claim in catalog order whose estimate (1747684)
+    # exceeds the budget; the eight claims before it must not be built
+    def no_series(*args):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(cli, "sd_series", no_series)
+    monkeypatch.setattr(congruences, "sd_series", no_series)
+    code, out, err = run_cli(capsys, "verify", "--all", "--k-max", "0",
+                             "--n-max", "10", "--budget", "100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("budget error: claim mod11: estimated 1747684 ")
+
+
 def test_scan_plain_matches_known_progressions(capsys):
     code, out, _ = run_cli(capsys, "scan", "--series", "sd", "--d", "1",
                            "--m", "5", "--M-max", "6", "--N", "500",

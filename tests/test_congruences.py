@@ -6,7 +6,7 @@ from partition_diamonds import congruences
 from partition_diamonds.congruences import (
     CLAIM_MODULUS_LIMIT, MAX_POW2_D, ClaimReport, CongruenceClaim,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
-    scan_progressions, verify_claim,
+    scan_progressions, verify_claim, verify_claims,
 )
 from partition_diamonds.genfun import sd_series
 from partition_diamonds.oracle import BudgetError, count_sd
@@ -196,3 +196,26 @@ def test_conjectural_claims_verify_small():
     report = verify_claim(claim_by_label("mod7_6k1_r17"), k_max=0, n_max=5)
     assert report.status == "verified_up_to_bounds"
     assert report.claim.conjectural
+
+
+def test_verify_claims_matches_verify_claim_in_order():
+    claims = [claim_by_label(label) for label in
+              ("mod5_4k1_r3", "mod2pow", "mod7_6k2_r31")]
+    bogus = CongruenceClaim(1, 1, 1, 0, modulus=5, label="bogus")
+    claims.append(bogus)
+    got = verify_claims(claims, k_max=1, n_max=4)
+    assert got == [verify_claim(c, k_max=1, n_max=4) for c in claims]
+    assert got[-1].status == "counterexample"
+    assert verify_claims([], k_max=0, n_max=0) == []
+
+
+def test_verify_claims_guards_every_claim_before_any_build(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(congruences, "sd_series", no_series)
+    claims = [claim_by_label("mod5_4k1_r2"), claim_by_label("mod11")]
+    with pytest.raises(BudgetError, match="claim mod11"):
+        verify_claims(claims, k_max=0, n_max=10, budget=100_000)
+    with pytest.raises(ValueError, match="bounds must be >= 0"):
+        verify_claims(claims, k_max=-1, n_max=10)

@@ -6,6 +6,7 @@ independent partition counting written in the test file, or from a literal
 enumerator that builds every diamond as a validated DiamondConfig.
 """
 
+import sys
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -273,13 +274,42 @@ def test_large_refusal_needs_no_recursion():
 
 
 @SETTINGS
-@given(d=st.integers(1, 4), n_max=st.integers(0, 9))
+@given(d=st.integers(0, 4), n_max=st.integers(0, 9))
 @example(d=4, n_max=9)
+@example(d=0, n_max=9)
 def test_count_sd_upto_matches_raw_and_chain_product(d, n_max):
     got = count_sd_upto(d, n_max)
     assert got == [chain_product_sd(d, n) for n in range(n_max + 1)]
     assert got == [count_sd_raw(d, n) for n in range(n_max + 1)]
     assert count_sd(d, n_max) == got[n_max]
+
+
+def free_frames():
+    """Calls that still fit under the recursion limit from here."""
+    depth = 0
+
+    def down():
+        nonlocal depth
+        depth += 1
+        down()
+
+    try:
+        down()
+    except RecursionError:
+        pass
+    return depth
+
+
+def test_count_sd_raw_needs_no_recursion():
+    # the chains of weight 20 run 20 links deep; a generator recursing once
+    # per link would exceed a limit 12 calls above the current depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - free_frames() + 12)
+    try:
+        got = count_sd_raw(1, 20)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == count_sd(1, 20) == 24842
 
 
 def test_sd_estimate_counts_visited_chains():
@@ -349,7 +379,7 @@ def test_negative_width_is_rejected():
 # The link-chain walk against a literal per-diamond enumerator
 # ---------------------------------------------------------------------
 
-def literal_counts(d, cells, rho, top):
+def literal_counts(d, cells, rho, top, grade=DiamondConfig.total_weight):
     """Diamonds of weight <= top with every node >= rho, one at a time.
 
     Link chains are weakly decreasing tuples: n + 1 links in [rho, top] for
@@ -357,7 +387,8 @@ def literal_counts(d, cells, rho, top):
     closed by one zero link, the support of the diamond.  Each chain takes
     itertools.product over its fan grid, fan j of cell k in [a_k, a_{k-1}]
     cut to the weight left, and every diamond is built as a DiamondConfig,
-    which checks its inequalities, and counted by its total weight.
+    which checks its inequalities, and counted by `grade`, its total weight
+    unless another grade is given (link_weight for s_d).
     """
     if cells is None:
         chains = (links + (0,) for k in range(top + 1)
@@ -376,9 +407,9 @@ def literal_counts(d, cells, rho, top):
                 for k in range(1, n + 1) for _ in range(d)]
         for values in product(*grid):
             fans = tuple(values[k * d:(k + 1) * d] for k in range(n))
-            weight = DiamondConfig(links, fans).total_weight()
-            if weight <= top:
-                counts[weight] += 1
+            config = DiamondConfig(links, fans)
+            if config.total_weight() <= top:
+                counts[grade(config)] += 1
     return counts
 
 
@@ -392,6 +423,18 @@ def test_walk_matches_literal_diamonds(d):
         for rho in (1, 2):
             shifted = series_Ddn_shifted(d, n, rho, top + 1).coeffs
             assert list(shifted) == literal_counts(d, n, rho, top)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_sd_matches_literal_diamonds(d):
+    # a diamond of link weight w weighs at most (d+1) w, so every diamond of
+    # link weight <= top // (d+1) is among those enumerated to weight top
+    top = 12
+    w_max = top // (d + 1)
+    literal = literal_counts(d, None, 0, top, DiamondConfig.link_weight)
+    assert count_sd_upto(d, w_max) == literal[:w_max + 1]
+    assert [count_sd_raw(d, w) for w in range(w_max + 1)] \
+        == literal[:w_max + 1]
 
 
 @SETTINGS
