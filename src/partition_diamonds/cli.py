@@ -291,7 +291,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             claims = [claim_by_label(args.claim)]
         except KeyError as exc:
-            raise ValueError(str(exc)) from None
+            raise ValueError(exc.args[0]) from None
     else:
         claims = list(builtin_claims())
     reports = verify_claims(claims, args.k_max, args.n_max, args.budget)

@@ -40,11 +40,6 @@ __all__ = [
     "report_to_json_dict",
 ]
 
-# Claims keep one bit of headroom below the residue-ring limit: a fixed
-# modulus stays below 2^63, and the 2^d family stops at d = 62.
-CLAIM_MODULUS_LIMIT = MODULUS_LIMIT >> 1
-MAX_POW2_D = CLAIM_MODULUS_LIMIT.bit_length() - 2
-
 
 class CongruenceClaim(Record):
     """s_{d_stride*k + d_offset}(prog_modulus*n + residue) == 0 (mod modulus)."""
@@ -67,18 +62,12 @@ class CongruenceClaim(Record):
         if power_of_two_in_d:
             if modulus is not None:
                 raise ValueError("power-of-two claims derive m from d")
-        elif modulus is None or modulus < 2:
+        elif modulus is None:
             raise ValueError("fixed modulus must be >= 2")
-        elif modulus >= CLAIM_MODULUS_LIMIT:
-            raise ValueError("modulus must stay below 2^63")
-        object.__setattr__(self, "d_stride", d_stride)
-        object.__setattr__(self, "d_offset", d_offset)
-        object.__setattr__(self, "prog_modulus", prog_modulus)
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "power_of_two_in_d", power_of_two_in_d)
-        object.__setattr__(self, "conjectural", conjectural)
-        object.__setattr__(self, "label", label)
+        else:
+            RingSpec(modulus)  # a claim takes exactly the ring's moduli
+        super().__init__(d_stride, d_offset, prog_modulus, residue, modulus,
+                         power_of_two_in_d, conjectural, label)
 
     def d_at(self, k: int) -> int:
         return self.d_stride * k + self.d_offset
@@ -86,7 +75,8 @@ class CongruenceClaim(Record):
     def modulus_at(self, k: int) -> int:
         if self.power_of_two_in_d:
             d = self.d_at(k)
-            if d > MAX_POW2_D:
+            # compared before 2 ** d is formed: k comes from the command line
+            if d >= MODULUS_LIMIT.bit_length() - 1:
                 raise ValueError(f"2^{d} exceeds the residue ring width")
             return 2 ** d
         return self.modulus
@@ -103,11 +93,7 @@ class ClaimReport(Record):
 
     def __init__(self, claim: CongruenceClaim, k_max: int, n_max: int,
                  status: str, witness: Witness | None = None):
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(claim, k_max, n_max, status, witness)
 
 
 def builtin_claims() -> tuple:
@@ -139,16 +125,23 @@ def claim_by_label(label: str) -> CongruenceClaim:
     raise KeyError(f"no builtin claim named {label!r}")
 
 
+def _claim_order(claim: CongruenceClaim, n_max: int) -> int:
+    """Series order that reaches the progression index at n = n_max."""
+    return claim.prog_modulus * n_max + claim.residue + 1
+
+
 def _claim_work_estimate(claim: CongruenceClaim, k_max: int, n_max: int) -> int:
-    order = claim.prog_modulus * n_max + claim.residue + 1
+    order = _claim_order(claim, n_max)
     return (k_max + 1) * order * order
 
 
 def _guard_claim(claim: CongruenceClaim, k_max: int, n_max: int,
                  budget: int | None) -> None:
-    """Check the bounds, then refuse the claim if it exceeds the budget."""
+    """Check the bounds and the ring of the widest member (d grows with k,
+    so k = k_max), then refuse the claim if it exceeds the budget."""
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
+    claim.modulus_at(k_max)
     check_budget(budget, lambda: _claim_work_estimate(claim, k_max, n_max),
                  f"claim {claim.label or claim}", "work units")
 
@@ -157,7 +150,7 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
                  budget: int | None = None) -> ClaimReport:
     """Check the claim for k <= k_max, n <= n_max; exact residue arithmetic."""
     _guard_claim(claim, k_max, n_max, budget)
-    order = claim.prog_modulus * n_max + claim.residue + 1
+    order = _claim_order(claim, n_max)
     for k in range(k_max + 1):
         d = claim.d_at(k)
         m = claim.modulus_at(k)

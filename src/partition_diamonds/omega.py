@@ -69,10 +69,7 @@ class OmegaInstance(Record):
             raise ValueError("x exponents must be >= 1")
         if y_exponent < 1:
             raise ValueError("y exponent must be >= 1")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "x_exponents", x_exponents)
-        object.__setattr__(self, "y_exponent", y_exponent)
+        super().__init__(j, d, x_exponents, y_exponent)
 
 
 def omega_bruteforce(inst: OmegaInstance, order: int) -> TruncatedSeries:
@@ -188,17 +185,17 @@ def crude_Dd1_check(d: int, a0_exp: int, a1_exp: int, w_exp: int,
 # Randomized cross-evaluation suite
 # ---------------------------------------------------------------------
 
-def random_instances(count: int, seed: int, j_range=(-1, 4), d_max: int = 4,
-                     exp_max: int = 5) -> Iterable[OmegaInstance]:
-    """Deterministic stream of random instances for the given seed."""
+def random_instances(count: int, seed: int) -> Iterable[OmegaInstance]:
+    """Deterministic stream of random instances for the given seed, with
+    -1 <= j <= 4, 1 <= d <= 4 and every exponent in 1..5."""
     rng = random.Random(seed)
     for _ in range(count):
-        d = rng.randint(1, d_max)
+        d = rng.randint(1, 4)
         yield OmegaInstance(
-            j=rng.randint(*j_range),
+            j=rng.randint(-1, 4),
             d=d,
-            x_exponents=tuple(rng.randint(1, exp_max) for _ in range(d)),
-            y_exponent=rng.randint(1, exp_max),
+            x_exponents=tuple(rng.randint(1, 5) for _ in range(d)),
+            y_exponent=rng.randint(1, 5),
         )
 
 

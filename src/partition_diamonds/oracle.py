@@ -80,8 +80,7 @@ class DiamondShape(Record):
             raise ValueError("fan width d must be >= 1")
         if n < 0:
             raise ValueError("cell count n must be >= 0")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
+        super().__init__(d, n)
 
     @property
     def node_count(self) -> int:
@@ -113,8 +112,7 @@ class DiamondConfig(Record):
                 raise ValueError(
                     f"cell {k} violates a_{k - 1} >= b >= a_{k}"
                 )
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "fans", fans)
+        super().__init__(links, fans)
 
     @property
     def shape(self) -> DiamondShape:

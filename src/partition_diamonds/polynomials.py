@@ -44,7 +44,7 @@ class UnivariatePolynomial(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "UnivariatePolynomial":

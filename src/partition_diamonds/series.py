@@ -60,14 +60,19 @@ MODULUS_LIMIT = 1 << 64  # residue rings Z/mZ take 2 <= m < 2^64
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in __slots__, in constructor order, and sets
-    each one once in its own __init__ through object.__setattr__.  Instances
-    compare equal only to instances of the same class with equal fields,
-    hash and print by their fields as a frozen dataclass does, and raise
-    AttributeError on any later assignment.
+    A subclass lists its fields in __slots__, in constructor order; its own
+    __init__ validates the arguments and passes them, in that order, to
+    Record.__init__, the one place a field is set.  Instances compare equal
+    only to instances of the same class with equal fields, hash and print by
+    their fields as a frozen dataclass does, and raise AttributeError on any
+    later assignment.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -108,7 +113,7 @@ class RingSpec(Record):
             if modulus >= MODULUS_LIMIT:
                 raise ValueError(
                     f"modulus must fit in 64 bits, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(modulus)
 
     # every series operation compares rings, so these skip Record's tuples
     def __eq__(self, other):
@@ -163,8 +168,7 @@ class TruncatedSeries(Record):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: RingSpec, coeffs: tuple):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(ring, coeffs)
         self.__post_init__()
 
     def __post_init__(self):
@@ -335,18 +339,23 @@ def product_family(factor_at: Callable[[int], TruncatedSeries], order: int,
             )
         if f.order > order:
             f = f.truncate(order)
-        if f.coeffs[0] != ring.normalize(1):
-            raise ValueError(
-                f"factor {n} has constant term {f.coeffs[0]}, need 1"
-            )
-        if any(f.coeffs[1:n]):
-            i = next(compress(range(1, n), f.coeffs[1:n]))
+        # normalize(1) == 1 in every ring, so the constant compares with 1
+        _check_factor(n, f.coeffs[0], compress(range(1, n), f.coeffs[1:n]))
+        acc = acc * f
+    return acc
+
+
+def _check_factor(n: int, constant: int, exponents: Iterable[int]) -> None:
+    """Raise ValueError unless factor n keeps the product contract: constant
+    term 1, and no q^i term with i < 0 or 0 < i < n among its exponents."""
+    if constant != 1:
+        raise ValueError(f"factor {n} has constant term {constant}, need 1")
+    for i in exponents:
+        if i < 0 or 0 < i < n:
             raise ValueError(
                 f"factor {n} has a q^{i} term; lowest non-constant "
                 f"exponent must be >= {n}"
             )
-        acc = acc * f
-    return acc
 
 
 # ---------------------------------------------------------------------
@@ -375,28 +384,24 @@ def mul_sparse(a: list, poly: Mapping[int, int]) -> None:
                     snap if c == 1 else map(mul, snap, repeat(c, n - e)))
 
 
-def div_one_minus(a: list, s: int, times: int = 1) -> None:
-    """a /= (1 - q^s)^times in place: stride-s prefix sums, for s >= 1.
+def div_one_minus(a: list, s: int) -> None:
+    """a /= (1 - q^s) in place: stride-s prefix sums, for s >= 1.
 
-    A few long residue classes chain all `times` prefix sums per class; many
-    short ones instead add each block of s entries onto the next, so either
-    way the Python-level loop runs at most sqrt(times * len(a)) times.
+    A few long residue classes take one prefix sum per class; many short
+    ones instead add each block of s entries onto the next, so either way
+    the Python-level loop runs at most sqrt(len(a)) times.
     """
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     n = len(a)
     if s >= n:
         return
-    if s * s <= times * n:
+    if s * s <= n:
         for r in range(s):
-            col = a[r::s]
-            for _ in range(times):
-                col = accumulate(col)
-            a[r::s] = col
+            a[r::s] = accumulate(a[r::s])
     else:
-        for _ in range(times):
-            for b in range(s, n, s):
-                a[b:b + s] = map(add, a[b:b + s], a[b - s:b])
+        for b in range(s, n, s):
+            a[b:b + s] = map(add, a[b:b + s], a[b - s:b])
 
 
 def div_sparse(a: list, poly: Mapping[int, int], times: int = 1,
@@ -481,16 +486,7 @@ def euler_product(numerator_at: Callable[[int], Mapping[int, int]] | None,
             c = ring.normalize(c)
             if c and e < order:
                 poly[e] = c
-        if poly.get(0) != 1:
-            raise ValueError(
-                f"factor {n} has constant term {poly.get(0, 0)}, need 1"
-            )
-        low = [e for e in poly if e < 0 or 0 < e < n]
-        if low:
-            raise ValueError(
-                f"factor {n} has a q^{low[0]} term; lowest non-constant "
-                f"exponent must be >= {n}"
-            )
+        _check_factor(n, poly.get(0, 0), poly)
         mul_sparse(a, poly)
         if m is not None:
             a[n:] = map(mod, a[n:], repeat(m))

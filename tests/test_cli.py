@@ -362,7 +362,7 @@ def test_verify_conjecture_status(capsys):
 def test_verify_unknown_claim(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "nope")
     assert code == 2
-    assert "nope" in err
+    assert err == "error: no builtin claim named 'nope'\n"
 
 
 def test_verify_all_refuses_before_any_build(capsys, monkeypatch):
@@ -378,6 +378,30 @@ def test_verify_all_refuses_before_any_build(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("budget error: claim mod11: estimated 1747684 ")
+
+
+@pytest.mark.parametrize("k_max, d", [("63", 64),
+                                      ("1000000000000", 1000000000001)])
+def test_verify_refuses_a_ring_too_wide_before_any_build(capsys, monkeypatch,
+                                                         k_max, d):
+    # k = k_max has the largest d, and its 2^d is checked before 2 ** d is
+    # formed and before the first member is built
+    def no_series(*args):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(congruences, "sd_series", no_series)
+    code, out, err = run_cli(capsys, "verify", "--claim", "mod2pow",
+                             "--k-max", k_max, "--n-max", "40")
+    assert (code, out) == (2, "")
+    assert err == f"error: 2^{d} exceeds the residue ring width\n"
+
+
+def test_verify_power_of_two_family_to_d_63(capsys):
+    # k = 62 is d = 63: 2^63 is a residue ring like any m < 2^64
+    code, out, _ = run_cli(capsys, "verify", "--claim", "mod2pow",
+                           "--k-max", "62", "--n-max", "20",
+                           "--format", "plain")
+    assert (code, out) == (0, "mod2pow verified\n")
 
 
 def test_scan_plain_matches_known_progressions(capsys):

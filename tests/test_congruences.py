@@ -4,7 +4,7 @@ import pytest
 
 from partition_diamonds import congruences
 from partition_diamonds.congruences import (
-    CLAIM_MODULUS_LIMIT, MAX_POW2_D, ClaimReport, CongruenceClaim,
+    ClaimReport, CongruenceClaim,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
     scan_progressions, verify_claim, verify_claims,
 )
@@ -36,7 +36,7 @@ def test_claim_validation():
     with pytest.raises(ValueError):
         CongruenceClaim(1, 1, 2, 1, modulus=4, power_of_two_in_d=True)
     with pytest.raises(ValueError):
-        CongruenceClaim(4, 1, 5, 2, modulus=1 << 63)  # ring width cap
+        CongruenceClaim(4, 1, 5, 2, modulus=1 << 64)  # ring width cap
     with pytest.raises(ValueError):
         claim = CongruenceClaim(1, 1, 2, 1, power_of_two_in_d=True)
         claim.modulus_at(63)  # 2^64 would leave the residue ring
@@ -55,27 +55,24 @@ def _claim(modulus):
 
 
 @pytest.mark.parametrize("modulus", [
-    -1, 0, 1, 2, 5, (1 << 62), CLAIM_MODULUS_LIMIT - 1, CLAIM_MODULUS_LIMIT,
+    -1, 0, 1, 2, 5, (1 << 62), (1 << 63) - 1, 1 << 63,
     MODULUS_LIMIT - 59, MODULUS_LIMIT - 1, MODULUS_LIMIT, MODULUS_LIMIT + 1,
 ])
 def test_modulus_bounds_share_one_limit(modulus):
-    # both bounds derive from series.MODULUS_LIMIT; every claim modulus
-    # builds a ring, and the two differ only by the claims' headroom bit
-    assert CLAIM_MODULUS_LIMIT * 2 == MODULUS_LIMIT == 1 << 64
+    # claims accept exactly RingSpec's moduli, 2 <= m < 2^64
+    assert MODULUS_LIMIT == 1 << 64
     ring_ok = _accepts(RingSpec, modulus)
-    claim_ok = _accepts(_claim, modulus)
     assert ring_ok == (2 <= modulus < MODULUS_LIMIT)
-    assert claim_ok == (2 <= modulus < CLAIM_MODULUS_LIMIT)
-    assert ring_ok or not claim_ok
+    assert _accepts(_claim, modulus) == ring_ok
 
 
 def test_power_of_two_family_stays_inside_claim_limit():
     claim = claim_by_label("mod2pow")
-    top = claim.modulus_at(MAX_POW2_D - 1)  # d = k + 1
-    assert top == 1 << MAX_POW2_D < CLAIM_MODULUS_LIMIT
+    top = claim.modulus_at(62)  # d = k + 1
+    assert top == 1 << 63 < MODULUS_LIMIT
     RingSpec(top)
-    with pytest.raises(ValueError):
-        claim.modulus_at(MAX_POW2_D)
+    with pytest.raises(ValueError, match=r"^2\^64 exceeds"):
+        claim.modulus_at(63)
 
 
 def test_verify_power_of_two_family_small():

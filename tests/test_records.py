@@ -12,7 +12,7 @@ from partition_diamonds.congruences import (ClaimReport, CongruenceClaim,
 from partition_diamonds.omega import OmegaInstance
 from partition_diamonds.oracle import DiamondConfig, DiamondShape
 from partition_diamonds.polynomials import UnivariatePolynomial
-from partition_diamonds.series import ZZ, RingSpec, TruncatedSeries
+from partition_diamonds.series import ZZ, Record, RingSpec, TruncatedSeries
 
 CLAIM = CongruenceClaim(4, 1, 5, 2, modulus=5, label="mod5_4k1_r2")
 
@@ -131,16 +131,29 @@ VALIDATION = [
     (lambda: CongruenceClaim(1, 1, 2, 1, modulus=4, power_of_two_in_d=True),
      "power-of-two claims derive m from d"),
     (lambda: CongruenceClaim(4, 1, 5, 2), "fixed modulus must be >= 2"),
-    (lambda: CongruenceClaim(4, 1, 5, 2, modulus=1 << 63),
-     "modulus must stay below 2^63"),
 ]
+# a claim reports its modulus with the ring's message, so its case needs an
+# id apart from RingSpec(1 << 64)'s
+CLAIM_RING_WIDTH = (lambda: CongruenceClaim(4, 1, 5, 2, modulus=1 << 64),
+                    f"modulus must fit in 64 bits, got {1 << 64}")
 
 
-@pytest.mark.parametrize("make, message", VALIDATION,
-                         ids=[m for _, m in VALIDATION])
+@pytest.mark.parametrize("make, message", [*VALIDATION, CLAIM_RING_WIDTH],
+                         ids=[*(m for _, m in VALIDATION),
+                              "claim modulus must fit in 64 bits"])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make()
+
+
+def test_record_takes_one_value_per_field():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+    assert Pair(1, 2) == Pair(1, 2)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 def test_post_init_runs_once_per_series(monkeypatch):
