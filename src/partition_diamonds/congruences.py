@@ -225,7 +225,9 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
     A progression is reported only if every inspected coefficient vanishes
     and at least min_support of them were inspected; progressions implied by
     an already-reported one (M' | M with matching residue) are pruned, so
-    the output is minimal.  Returned sorted by (M, r).
+    the output is minimal.  Returned sorted by (M, r).  The scan stops at the
+    first M whose residue 0 class, the largest, has fewer than min_support
+    coefficients: no larger M can reach the support either.
     """
     if series.ring.is_exact:
         raise ValueError("scan expects a series over a residue ring")
@@ -237,6 +239,8 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
     order = series.order
     kept = []
     for M in range(1, m_max + 1):
+        if -(-order // M) < min_support:
+            break
         for r in range(M):
             support = len(range(r, order, M))
             if support < min_support:

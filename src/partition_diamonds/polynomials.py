@@ -1,9 +1,12 @@
 """Eulerian polynomials and the bivariate numerator family F_d(q0, w).
 
 A_d is the classical Eulerian polynomial (descent counts over permutations
-of d letters), built from the derivative recurrence
+of d letters).  Its coefficients A(d, k), the number of permutations of d
+letters with k descents, obey
 
-    A_0 = 1,   A_d = (1 + (d-1) q) A_{d-1} + q (1 - q) A'_{d-1}.
+    A(0, 0) = 1,   A(d, k) = (k + 1) A(d-1, k) + (d - k) A(d-1, k-1),
+
+the coefficient form of A_d = (1 + (d-1) q) A_{d-1} + q (1 - q) A'_{d-1}.
 
 F_d is the numerator of the one-cell transfer generating function for
 d-fold partition diamonds:
@@ -13,12 +16,15 @@ d-fold partition diamonds:
 
 The division by (1 - w) is exact; it is carried out by synthetic division
 with an explicit zero-remainder check, so a bad recurrence step fails loudly
-instead of producing a wrong polynomial.  Specializing w = 1 collapses F_d
-to A_d, which is the bridge between diamond counting and Eulerian numbers.
+instead of producing a wrong polynomial.  F_d, built from this recurrence,
+equals sum over permutations s of d letters of q0^des(s) w^maj(s), Carlitz's
+q-Eulerian polynomial.  Specializing w = 1 collapses F_d to A_d, which is the
+bridge between diamond counting and Eulerian numbers.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 from .series import Record, RingSpec, TruncatedSeries, ZZ
@@ -30,8 +36,6 @@ __all__ = [
     "fd_poly",
     "fd_specialize",
     "fd_at_w1",
-    "poly_to_json_dict",
-    "bipoly_to_json_dict",
 ]
 
 
@@ -56,43 +60,6 @@ class UnivariatePolynomial(Record):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial.from_coeffs(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial.from_coeffs(
-            self.coefficient(i) - other.coefficient(i) for i in range(n)
-        )
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return UnivariatePolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UnivariatePolynomial.from_coeffs(out)
-
-    def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial.from_coeffs(
-            i * c for i, c in enumerate(self.coeffs) if i > 0
-        )
-
-    def __call__(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
 
     def to_series(self, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
         """The polynomial as a series of the given order."""
@@ -120,26 +87,6 @@ class BivariatePolynomial:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivariatePolynomial(out)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) - c
-        return BivariatePolynomial(out)
-
-    def substitute_q0w(self) -> "BivariatePolynomial":
-        """Replace q0 by q0*w: the (i, j) term moves to (i, i + j)."""
-        return BivariatePolynomial(
-            {(i, i + j): c for (i, j), c in self._terms.items()}
-        )
 
     def divide_by_one_minus_w(self) -> "BivariatePolynomial":
         """Exact quotient by (1 - w); raises if the remainder is non-zero.
@@ -187,28 +134,17 @@ class BivariatePolynomial:
                 terms[e] = terms.get(e, 0) + c
         return terms
 
-    def specialize(self, q0_exp: int, w_exp: int, order: int,
-                   ring: RingSpec = ZZ) -> TruncatedSeries:
-        """Substitute q0 -> q^q0_exp, w -> q^w_exp as a truncated series."""
-        return TruncatedSeries.from_terms(
-            self.specialized_terms(q0_exp, w_exp, order), order, ring)
-
-
-def _bp(terms) -> BivariatePolynomial:
-    return BivariatePolynomial(terms)
-
 
 @lru_cache(maxsize=None)
 def eulerian_poly(d: int) -> UnivariatePolynomial:
     """The d-th Eulerian polynomial; degree d-1 for d >= 1, coefficients sum to d!."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    if d == 0:
-        return UnivariatePolynomial((1,))
-    prev = eulerian_poly(d - 1)
-    lin = UnivariatePolynomial.from_coeffs([1, d - 1])        # 1 + (d-1) q
-    qs = UnivariatePolynomial.from_coeffs([0, 1, -1])         # q (1 - q)
-    return lin * prev + qs * prev.derivative()
+    row = [1]                                                  # A_0 = A_1 = 1
+    for n in range(2, d + 1):
+        row = [(k + 1) * a + (n - k) * b
+               for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return UnivariatePolynomial(tuple(row))
 
 
 @lru_cache(maxsize=None)
@@ -217,11 +153,14 @@ def fd_poly(d: int) -> BivariatePolynomial:
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
-        return _bp({(0, 0): 1})
-    prev = fd_poly(d - 1)
-    lhs = _bp({(0, 0): 1, (1, d): -1}) * prev                 # (1 - q0 w^d) F_{d-1}
-    rhs = _bp({(0, 1): 1, (1, 1): -1}) * prev.substitute_q0w()  # w (1 - q0) F_{d-1}(q0 w, w)
-    quotient = (lhs - rhs).divide_by_one_minus_w()
+        return BivariatePolynomial({(0, 0): 1})
+    dividend = defaultdict(int)
+    for (i, j), c in fd_poly(d - 1).terms.items():
+        dividend[i, j] += c                        # (1 - q0 w^d) F_{d-1}(q0, w)
+        dividend[i + 1, j + d] -= c
+        dividend[i, i + j + 1] -= c                # - w (1 - q0) F_{d-1}(q0 w, w)
+        dividend[i + 1, i + j + 1] += c
+    quotient = BivariatePolynomial(dividend).divide_by_one_minus_w()
     if quotient.degree_q0() != d - 1:
         raise ArithmeticError(
             f"F_{d} has degree {quotient.degree_q0()} in q0, expected {d - 1}; "
@@ -236,25 +175,10 @@ def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
         raise ValueError("q0 exponent must be >= 1")
     if b < 0:
         raise ValueError("w exponent must be >= 0")
-    return fd_poly(d).specialize(a, b, order)
+    return TruncatedSeries.from_terms(
+        fd_poly(d).specialized_terms(a, b, order), order)
 
 
 def fd_at_w1(d: int) -> UnivariatePolynomial:
     """F_d(q0, 1), collected in q0.  Equals eulerian_poly(d)."""
     return fd_poly(d).at_w1()
-
-
-# ---------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------
-
-def poly_to_json_dict(p: UnivariatePolynomial) -> dict:
-    return {"var": "q", "coeffs": [str(c) for c in p.coeffs]}
-
-
-def bipoly_to_json_dict(p: BivariatePolynomial) -> dict:
-    terms = [
-        {"i": i, "j": j, "c": str(c)}
-        for (i, j), c in sorted(p.terms.items())
-    ]
-    return {"vars": ["q0", "w"], "terms": terms}

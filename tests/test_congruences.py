@@ -170,6 +170,15 @@ def test_scanner_stable_under_longer_series():
     assert small == large == [(5, 2), (5, 3), (5, 4)]
 
 
+def test_scanner_stops_once_no_class_reaches_support():
+    # past M = 11 no class of an order-100 series holds 10 coefficients, so
+    # a bound of 10**6 must return at once, with what a bound of 100 returns
+    series = sd_series(1, 100, RingSpec(5))
+    found = scan_progressions(series, 100)
+    assert found == [(5, 2), (5, 3), (5, 4)]
+    assert scan_progressions(series, 10**6) == found
+
+
 def test_scanner_requires_residue_ring_and_support():
     with pytest.raises(ValueError):
         scan_progressions(sd_series(1, 50), 5)

@@ -1,17 +1,19 @@
 """Eulerian polynomials and the F_d family.
 
 The Eulerian cross-check multiplies the bare power sum sum_j (j+1)^d q^j by
-(1-q)^(d+1) using plain list arithmetic, so it does not lean on any package
-code being tested.
+(1-q)^(d+1) using plain list arithmetic, and the permutation check counts
+(des, maj) over itertools.permutations, so neither leans on any package code
+being tested.
 """
 
+import itertools
 import math
 
 import pytest
 
 from partition_diamonds.polynomials import (
-    BivariatePolynomial, UnivariatePolynomial, bipoly_to_json_dict,
-    eulerian_poly, fd_at_w1, fd_poly, fd_specialize, poly_to_json_dict,
+    BivariatePolynomial, UnivariatePolynomial, eulerian_poly, fd_at_w1,
+    fd_poly, fd_specialize,
 )
 
 
@@ -48,6 +50,34 @@ def test_eulerian_positive_palindromic_factorial_sum(d):
     assert all(c > 0 for c in coeffs)
     assert coeffs == coeffs[::-1]
     assert sum(coeffs) == math.factorial(d)
+
+
+def test_eulerian_large_d_is_iterative():
+    # a cold build this large must not depend on the recursion limit
+    eulerian_poly.cache_clear()
+    coeffs = eulerian_poly(600).coeffs
+    assert coeffs == coeffs[::-1]
+    assert sum(coeffs) == math.factorial(600)
+
+
+def des_maj(perm):
+    """Number and index sum (1-based) of the descents of a permutation."""
+    tops = [i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1]]
+    return len(tops), sum(tops)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_fd_is_des_maj_distribution(d):
+    # Carlitz's q-Eulerian polynomial: F_d = sum over S_d of q0^des w^maj
+    counts = {}
+    for perm in itertools.permutations(range(d)):
+        key = des_maj(perm)
+        counts[key] = counts.get(key, 0) + 1
+    assert fd_poly(d).terms == counts
+    by_des = [0] * d
+    for (i, _), c in counts.items():
+        by_des[i] += c
+    assert eulerian_poly(d).coeffs == tuple(by_des)
 
 
 def test_fd_small():
@@ -96,23 +126,8 @@ def test_division_guard_fires_on_nonexact_input():
 def test_univariate_basics():
     p = UnivariatePolynomial.from_coeffs([1, 2, 0, 0])
     assert p.coeffs == (1, 2) and p.degree == 1
-    assert p.derivative().coeffs == (2,)
-    assert p(10) == 21
     zero = UnivariatePolynomial.from_coeffs([0, 0])
     assert zero.coeffs == () and zero.degree == -1
-
-
-def test_json_shapes():
-    d = poly_to_json_dict(eulerian_poly(3))
-    assert d == {"var": "q", "coeffs": ["1", "4", "1"]}
-    b = bipoly_to_json_dict(fd_poly(3))
-    assert b["vars"] == ["q0", "w"]
-    assert b["terms"] == [
-        {"i": 0, "j": 0, "c": "1"},
-        {"i": 1, "j": 1, "c": "2"},
-        {"i": 1, "j": 2, "c": "2"},
-        {"i": 2, "j": 3, "c": "1"},
-    ]
 
 
 def test_fd_poly_degree_invariant_raises(monkeypatch):
