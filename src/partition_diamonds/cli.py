@@ -1,21 +1,19 @@
 """Command-line surface: coefficient tables, identity suites, oracle
 cross-validation, congruence verification, and progression scanning.
 
-Exit codes are strict: 0 means success (or all claims verified/held),
-1 means a mathematical counterexample or failed identity, 2 means a usage
-or budget error, or (from the pdiamonds script) a reader that closed stdout
-early.  Only identities takes --seed, with a fixed default, so identical
-invocations produce byte-identical output.  Only oracle and verify take
---budget, the work guard, else DIAMOND_BUDGET, validated before any estimate.
+Exit codes are strict: 0 means success (or all claims verified/held), 1 a
+mathematical counterexample or failed identity, 2 a usage or budget error,
+or (from the pdiamonds script) a reader that closed stdout early.  COMMANDS
+holds every flag and default; parse_args reads argv from it as argparse did.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import re
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 from .congruences import (builtin_claims, claim_by_label,
                           report_to_json_dict, scan_progressions, verify_claims)
@@ -30,84 +28,14 @@ from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
                      series_to_json_dict)
 
 DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
-BUDGET_HELP = ("work guard, a positive integer, checked before any estimate "
-               "(default DIAMOND_BUDGET, else 1e9)")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pdiamonds",
-        description="Exact toolkit for d-fold partition diamond series "
-                    "and their congruences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, handler, formats=("json", "csv", "plain")):
-        p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=formats, default="json")
-
-    p = sub.add_parser("coeffs", help="print series coefficients")
-    p.add_argument("--series", choices=("rd", "sd", "ddn"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="length (ddn only)")
-    p.add_argument("--N", type=int, default=100, help="truncation order")
-    p.add_argument("--mod", type=int, default=None,
-                   help="reduce coefficients mod m")
-    common(p, cmd_coeffs)
-
-    p = sub.add_parser("identities", help="run the identity check suite")
-    p.add_argument("--only", choices=IDENTITY_CHECKS, default=None)
-    p.add_argument("--d-max", type=int, default=12)
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--instances", type=int, default=200,
-                   help="random elimination instances")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p, cmd_identities, formats=("json",))
-
-    p = sub.add_parser("oracle", help="closed form vs raw enumeration")
-    p.add_argument("--kind", choices=("rd", "sd", "ddn"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="length (ddn only)")
-    p.add_argument("--N", type=int, default=20)
-    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
-    common(p, cmd_oracle, formats=("json",))
-
-    p = sub.add_parser("verify", help="verify congruence claims")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--claim", type=str, default=None,
-                       help="a claim label (see --list)")
-    group.add_argument("--list", action="store_true",
-                       help="list builtin claim labels")
-    p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
-    common(p, cmd_verify)
-
-    p = sub.add_parser("scan", help="search a series for zero progressions")
-    p.add_argument("--series", choices=("rd", "sd"), default="sd")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="residue modulus")
-    p.add_argument("--M-max", type=int, required=True, dest="M_max")
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--min-support", type=int, default=10)
-    common(p, cmd_scan)
-
-    return parser
-
-
-# ---------------------------------------------------------------------
-# Output helpers
-# ---------------------------------------------------------------------
 
 def _emit(payload, fmt: str = "json", header=(), rows=(),
           plain_width: int | None = None) -> None:
     """Print `payload` as JSON, or `rows` as CSV under `header`, or as plain
-    space-separated lines of their first `plain_width` columns.
-
-    Commands without a table (identities, oracle) accept only JSON.
-    """
+    space-separated lines of their first `plain_width` columns."""
     if fmt == "json":
+        import json  # only json jobs pay for this import
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         import csv  # only csv jobs pay for this import
@@ -119,16 +47,11 @@ def _emit(payload, fmt: str = "json", header=(), rows=(),
             print(*row[:plain_width])
 
 
-# ---------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------
-
 MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
 
 
-def _check_d(args: argparse.Namespace) -> None:
-    if args.d < 1:
-        raise ValueError(f"--d must be >= 1, got {args.d}")
+def _check_d(args: SimpleNamespace) -> None:
+    _check_positive(("--d", args.d))
     if args.d > MAX_CLI_D:
         raise ValueError(f"--d is capped at {MAX_CLI_D}")
 
@@ -161,7 +84,7 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
     return build(d, order, ring)
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
+def cmd_coeffs(args: SimpleNamespace) -> int:
     _check_d(args)
     _check_n(args.series, "--series", args.n)
     series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
@@ -243,7 +166,7 @@ IDENTITY_CHECKS = {
 }
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
+def cmd_identities(args: SimpleNamespace) -> int:
     # a check over nothing would pass
     _check_positive(("--d-max", args.d_max), ("--N", args.N),
                     ("--instances", args.instances))
@@ -254,7 +177,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     _check_d(args)
     _check_n(args.kind, "--kind", args.n)
     mismatches = []
@@ -279,7 +202,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if not mismatches else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.list:
         rows = [(claim.label, "conjecture" if claim.conjectural else "theorem")
                 for claim in builtin_claims()]
@@ -309,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: SimpleNamespace) -> int:
     _check_d(args)
     # a progression that inspects no coefficient would be reported as zero
     _check_positive(("--M-max", args.M_max),
@@ -323,8 +246,144 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+REQUIRED = object()  # the default of a flag that must be given
+WIDTH, KINDS = (int, REQUIRED, None, None), ("rd", "sd", "ddn")
+LENGTH = (int, None, None, "length (ddn only)")
+BUDGET = (int, None, None, "work guard (unset: DIAMOND_BUDGET, else 1e9)")
+FORMAT = {"--format": (str, "json", ("json", "csv", "plain"), None)}
+JSON_ONLY = {"--format": (str, "json", ("json",), None)}  # no table to print
+
+# command -> (handler, help, {flag: (type, default, choices, help)})
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "print series coefficients", {
+        "--series": (str, REQUIRED, KINDS, None), "--d": WIDTH, "--n": LENGTH,
+        "--N": (int, 100, None, "truncation order"),
+        "--mod": (int, None, None, "reduce coefficients mod m"), **FORMAT}),
+    "identities": (cmd_identities, "run the identity check suite", {
+        "--only": (str, None, IDENTITY_CHECKS, None),
+        "--d-max": (int, 12, None, None), "--N": (int, 100, None, None),
+        "--instances": (int, 200, None, "random elimination instances"),
+        "--seed": (int, DEFAULT_SEED, None, None), **JSON_ONLY}),
+    "oracle": (cmd_oracle, "closed form vs raw enumeration", {
+        "--kind": (str, REQUIRED, KINDS, None), "--d": WIDTH, "--n": LENGTH,
+        "--N": (int, 20, None, None), "--budget": BUDGET, **JSON_ONLY}),
+    "verify": (cmd_verify, "verify congruence claims", {
+        "--all": (bool, False, None, None),
+        "--claim": (str, None, None, "a claim label (see --list)"),
+        "--list": (bool, False, None, "list builtin claim labels"),
+        "--k-max": (int, 2, None, None), "--n-max": (int, 40, None, None),
+        "--budget": BUDGET, **FORMAT}),
+    "scan": (cmd_scan, "search a series for zero progressions", {
+        "--series": (str, "sd", ("rd", "sd"), None), "--d": WIDTH,
+        "--m": (int, REQUIRED, None, "residue modulus"),
+        "--M-max": (int, REQUIRED, None, None), "--N": (int, 100, None, None),
+        "--min-support": (int, 10, None, None), **FORMAT}),
+}
+ONE_OF = ("--all", "--claim", "--list")  # verify takes exactly one of these
+HELP = ("-h", "--help")
+
+
+def _usage(command: str | None) -> str:
+    return (f"usage: pdiamonds {command} [-h] [flags]" if command else
+            "usage: pdiamonds [-h] {" + ",".join(COMMANDS) + "} ...")
+
+
+def _help(command: str | None):
+    """Print the usage and what each command or flag takes; exit 0."""
+    rows = [(c, spec[1]) for c, spec in COMMANDS.items() if command is None]
+    for flag, (_, default, choices, text) in \
+            COMMANDS.get(command, (0, 0, {}))[2].items():
+        note = ("required" if default is REQUIRED else "exactly one of "
+                + "/".join(ONE_OF) if flag in ONE_OF else f"default {default}")
+        rows.append((flag, "; ".join(filter(None, (text, choices and (
+            "one of " + ", ".join(choices)), note)))))
+    print(_usage(command), *(f"  {a:16}{b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    print(_usage(command), f"pdiamonds{' ' + command if command else ''}: "
+          f"error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _classify(token: str, names, command: str | None):
+    """None for a value, else (name, explicit value or None), name None if
+    unknown: a name, name=value, a long name's unique prefix, or -h<value>."""
+    name, eq, value = token.partition("=")
+    if name in names:
+        return name, value if eq else None
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    tail = token[2:].lstrip("h") or None  # "-hh" is -h twice
+    found = ([(n, value if eq else None) for n in names if n.startswith(name)]
+             if token[1] == "-" else [("-h", tail)] * (token[1] == "h"))
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {token} could match "
+                       + ", ".join(n for n, _ in found))
+    if found or re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return found[0] if found else None  # else a number or spaced text
+    return None, None
+
+
+def _value(command: str | None, name: str, kind, text: str | None, choices):
+    if text is None:
+        _fail(command, f"argument {name}: expected one argument")
+    try:
+        value = kind(text)
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: "
+                       f"{text!r}")
+    if choices is not None and value not in choices:
+        _fail(command, f"argument {name}: invalid choice: {value!r} (choose "
+                       f"from {', '.join(map(repr, choices))})")
+    return value
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The command, its handler and one attribute per flag ("--M-max" sets
+    M_max), read from COMMANDS; a usage error exits 2 and help exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, flags, given, extras = None, {}, {}, []
+    options, j, cut = [_classify(t, HELP, None) for t in argv], 0, len(argv)
+    while j < cut:
+        (flag, value), j = options[j] or (None, None), j + 1
+        kind, _, choices, _ = flags.get(flag, (bool, 0, None, 0))
+        if command is None and options[j - 1] is None:  # the command
+            command = _value(None, "command", str, argv[j - 1], COMMANDS)
+            handler, _, flags = COMMANDS[command]
+            cut = argv.index("--", j) if "--" in argv[j:] else cut
+            options[j:cut] = [_classify(t, (*HELP, *flags), command)
+                              for t in argv[j:cut]]  # "--" ends the options
+        elif flag is None:  # an unknown option or a stray value
+            extras.append(argv[j - 1])
+        elif flag in ONE_OF and (other := {*ONE_OF} & given.keys() - {flag}):
+            _fail(command, f"argument {flag}: not allowed with argument "
+                           f"{other.pop()}")
+        elif kind is bool:  # a bool flag takes no value, nor does help
+            if value is not None:
+                _fail(command, f"argument {flag}: ignored explicit argument "
+                               f"{value!r}")
+            given[flag] = _help(command) if flag in HELP else True
+        else:
+            if value is None and j < cut and options[j] is None:
+                value, j = argv[j], j + 1
+            given[flag] = _value(command, flag, kind, value, choices)
+    missing = [f for f, spec in flags.items()
+               if spec[1] is REQUIRED and f not in given]
+    if command is None or missing:
+        _fail(command, "the following arguments are required: "
+                       + (", ".join(missing) or "command"))
+    if ONE_OF[0] in flags and not given.keys() & ONE_OF:
+        _fail(command, f"one of the arguments {' '.join(ONE_OF)} is required")
+    if extras + argv[cut:]:
+        _fail(None, "unrecognized arguments: " + " ".join(extras + argv[cut:]))
+    return SimpleNamespace(command=command, handler=handler, **{
+        f[2:].replace("-", "_"): given.get(f, s[1]) for f, s in flags.items()})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except BudgetError as exc:

@@ -227,7 +227,9 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
     an already-reported one (M' | M with matching residue) are pruned, so
     the output is minimal.  Returned sorted by (M, r).  The scan stops at the
     first M whose residue 0 class, the largest, has fewer than min_support
-    coefficients: no larger M can reach the support either.
+    coefficients: no larger M can reach the support either.  It stops at M =
+    order at the latest: past it, class r inspects only coefficient r, as
+    (order, r) does.
     """
     if series.ring.is_exact:
         raise ValueError("scan expects a series over a residue ring")
@@ -238,7 +240,7 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
     coeffs = series.coeffs
     order = series.order
     kept = []
-    for M in range(1, m_max + 1):
+    for M in range(1, min(m_max, order) + 1):
         if -(-order // M) < min_support:
             break
         for r in range(M):

@@ -1,6 +1,9 @@
 """CLI surface: flags, output formats, exit codes, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_diamonds import cli, congruences, oracle
-from partition_diamonds.cli import DEFAULT_SEED, main
+from partition_diamonds.cli import (DEFAULT_SEED, IDENTITY_CHECKS, cmd_coeffs,
+                                    cmd_identities, cmd_oracle, cmd_scan,
+                                    cmd_verify, main)
 from partition_diamonds.genfun import rd_series, sd_series
 from partition_diamonds.series import reduce_mod
 
@@ -494,15 +501,21 @@ def test_table_less_commands_accept_json_format(capsys, command):
 def test_cli_import_leaves_out_dataclasses_and_csv():
     # a fresh interpreter, since pytest itself has imported dataclasses; -S
     # keeps a site-packages .pth file from preloading any watched module,
-    # so the package is found through PYTHONPATH alone
+    # so the package is found through PYTHONPATH alone.  No job loads
+    # argparse or the gettext and locale modules that argparse imports.
     probe = (
         "import sys\n"
-        "watched = {'dataclasses', 'csv', 'typing'} - set(sys.modules)\n"
+        "watched = {'argparse', 'csv', 'dataclasses', 'gettext', 'locale',\n"
+        "           'typing'} - set(sys.modules)\n"
         "from partition_diamonds import cli\n"
         "added = sorted(watched & set(sys.modules))\n"
         "cli.main(['coeffs', '--series', 'sd', '--d', '1', '--N', '3',\n"
         "          '--format', 'csv'])\n"
-        "print(sorted(watched), added, 'csv' in sys.modules)\n"
+        "cli.main(['verify', '--claim', 'mod5_4k1_r2', '--k-max', '0',\n"
+        "          '--n-max', '5'])\n"
+        "parsing = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "print(sorted(watched), added, 'csv' in sys.modules,\n"
+        "      sorted(parsing))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
@@ -510,7 +523,8 @@ def test_cli_import_leaves_out_dataclasses_and_csv():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == \
-        "['csv', 'dataclasses', 'typing'] [] True"
+        "['argparse', 'csv', 'dataclasses', 'gettext', 'locale', 'typing'] " \
+        "[] True []"
 
 
 # Stored stdout digests of the benchmark jobs; read only.  Each command in
@@ -555,3 +569,262 @@ def test_stdout_matches_stored_digest(capsys, monkeypatch, references, key):
     assert code == references[key]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         references[key]["sha256"]
+
+
+# The argparse parser that cli.parse_args replaced, kept verbatim as the
+# reference of the differential tests below.
+BUDGET_HELP = cli.BUDGET[3]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pdiamonds",
+        description="Exact toolkit for d-fold partition diamond series "
+                    "and their congruences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, handler, formats=("json", "csv", "plain")):
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=formats, default="json")
+
+    p = sub.add_parser("coeffs", help="print series coefficients")
+    p.add_argument("--series", choices=("rd", "sd", "ddn"), required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, default=None, help="length (ddn only)")
+    p.add_argument("--N", type=int, default=100, help="truncation order")
+    p.add_argument("--mod", type=int, default=None,
+                   help="reduce coefficients mod m")
+    common(p, cmd_coeffs)
+
+    p = sub.add_parser("identities", help="run the identity check suite")
+    p.add_argument("--only", choices=IDENTITY_CHECKS, default=None)
+    p.add_argument("--d-max", type=int, default=12)
+    p.add_argument("--N", type=int, default=100)
+    p.add_argument("--instances", type=int, default=200,
+                   help="random elimination instances")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common(p, cmd_identities, formats=("json",))
+
+    p = sub.add_parser("oracle", help="closed form vs raw enumeration")
+    p.add_argument("--kind", choices=("rd", "sd", "ddn"), required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, default=None, help="length (ddn only)")
+    p.add_argument("--N", type=int, default=20)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
+    common(p, cmd_oracle, formats=("json",))
+
+    p = sub.add_parser("verify", help="verify congruence claims")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--all", action="store_true")
+    group.add_argument("--claim", type=str, default=None,
+                       help="a claim label (see --list)")
+    group.add_argument("--list", action="store_true",
+                       help="list builtin claim labels")
+    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
+    common(p, cmd_verify)
+
+    p = sub.add_parser("scan", help="search a series for zero progressions")
+    p.add_argument("--series", choices=("rd", "sd"), default="sd")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="residue modulus")
+    p.add_argument("--M-max", type=int, required=True, dest="M_max")
+    p.add_argument("--N", type=int, default=100)
+    p.add_argument("--min-support", type=int, default=10)
+    common(p, cmd_scan)
+
+    return parser
+
+
+REFERENCE = build_parser()
+
+
+def parse_outcome(parse, argv):
+    """(exit code, stdout, stderr, namespace) of one parse; the code is None
+    and the namespace a dict when the argv is accepted."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+    return None, out.getvalue(), err.getvalue(), namespace
+
+
+def assert_parses_like_argparse(argv):
+    code, out, err, namespace = parse_outcome(cli.parse_args, argv)
+    want = parse_outcome(REFERENCE.parse_args, argv)
+    assert (code, namespace) == (want[0], want[3]), (argv, err, want[2])
+    if code == 0:  # help
+        assert out and not err
+    elif code == 2:
+        assert out == ""
+        assert err.startswith("usage: pdiamonds")
+        assert "error: " in err.splitlines()[-1]
+
+
+# Tokens that argparse 3.10.13, 3.11.7, 3.12.1 and 3.13.0 all read the same
+# way.  Left out: "--" (3.11 reads "--claim=--" as an empty list), -h given
+# a value other than more h's ("-hx", "-h=h"), and numbers such as "-1e5" or
+# "-1_000": argparse releases differ on these.
+STRAYS = ("extra", "7", "-3", "-0.5", "-", "", "a b", "-x", "--bogus",
+          "--bogus=1", "--=5", "-h", "-hh", "--help", "--he", "-h=")
+INT_EDGES = ("x", "1.5", "", "-", "0x10", "1e3", "-2.5", " 7 ", "٣")
+CLAIMS = ("mod11", "mod5_4k1_r2", "nope", "-7", "x y", "", "-")
+
+
+# Choice values and flag names of every command, drawn beside the table's
+# own, so that a choice or flag missing from the table still gets drawn.
+WORDS = ("rd", "sd", "ddn", "json", "csv", "plain", "omega", "crude", "nope",
+         "", "JSON")
+FLAG_NAMES = ("--series", "--d", "--n", "--N", "--mod", "--format", "--only",
+              "--d-max", "--instances", "--seed", "--kind", "--budget",
+              "--all", "--claim", "--list", "--k-max", "--n-max", "--m",
+              "--M-max", "--min-support")
+
+
+def draw_value(rnd, kind, choices):
+    if choices:
+        return rnd.choice(list(choices) if rnd.random() < 0.6 else WORDS)
+    if kind is int:
+        good = rnd.random() < 0.8
+        return str(rnd.randint(-3, 70)) if good else rnd.choice(INT_EDGES)
+    return rnd.choice(CLAIMS)
+
+
+def draw_flag(rnd, flag, spec):
+    """One occurrence of `flag`: its full name or a prefix of three or more
+    characters, with the value in the next token, after "=", or missing."""
+    kind, _, choices, _ = spec
+    name = flag[:rnd.randint(3, len(flag))] if rnd.random() < 0.3 else flag
+    if kind is bool:
+        if rnd.random() < 0.9:
+            return [name]
+        return [name + "=" + rnd.choice(("", "x", "1"))]
+    value, form = draw_value(rnd, kind, choices), rnd.random()
+    if form < 0.2:
+        return [f"{name}={value}"]
+    return [name] if form < 0.25 else [name, value]
+
+
+def draw_argv(rnd):
+    """A pdiamonds argv, mostly valid, drawn from cli.COMMANDS."""
+    command = rnd.choice(list(cli.COMMANDS))
+    flags = cli.COMMANDS[command][2]
+    group = [f for f in cli.ONE_OF if f in flags]
+    picked = [f for f, spec in flags.items() if f not in group and
+              rnd.random() < (0.92 if spec[1] is cli.REQUIRED else 0.35)]
+    if group:  # mostly exactly one, sometimes none or two
+        picked += rnd.sample(group, rnd.choice((1, 1, 1, 1, 1, 0, 2, 3)))
+    if picked and rnd.random() < 0.15:
+        picked.append(rnd.choice(picked))  # a repeated flag
+    units = [draw_flag(rnd, f, flags[f]) for f in picked]
+    for _ in range(rnd.choice((0, 0, 0, 0, 1, 2))):
+        units.append([rnd.choice(STRAYS)])
+    if rnd.random() < 0.15:  # a flag this command may not take
+        units.append([rnd.choice(FLAG_NAMES), rnd.choice(WORDS + ("3",))])
+    rnd.shuffle(units)
+    head = [command]
+    roll = rnd.random()
+    if roll < 0.04:
+        head = []
+    elif roll < 0.08:
+        head = [rnd.choice(("nope", "", "-5", "coef", "COEFFS", "a b"))]
+    elif roll < 0.12:
+        head = [rnd.choice(STRAYS), command]
+    return head + [token for unit in units for token in unit]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_parse_args_accepts_exactly_what_argparse_accepts(rnd):
+    assert_parses_like_argparse(draw_argv(rnd))
+
+
+# The required flags of each command, with valid values
+BASES = {"coeffs": ["--series", "sd", "--d", "1"], "identities": [],
+         "oracle": ["--kind", "rd", "--d", "1"], "verify": ["--all"],
+         "scan": ["--d", "1", "--m", "5", "--M-max", "6"]}
+
+
+@pytest.mark.parametrize("command", BASES)
+def test_every_flag_and_word_parses_like_argparse(command):
+    for flag in FLAG_NAMES:
+        for word in (*WORDS, "3", "-3"):
+            assert_parses_like_argparse([command, *BASES[command], flag,
+                                         word])
+
+
+EDGE_ARGVS = [
+    [], ["--bogus"], ["--help"], ["-h", "coeffs"], ["--he"], ["-hh"],
+    ["--help=x"], ["--bogus", "scan", "--help"], ["--", "coeffs"],
+    ["coeffs", "--series", "sd", "--d", "1", "--"],
+    ["coeffs", "--series", "sd", "--d", "1", "--", "--help"],
+    ["verify", "--claim", "--"],
+    ["coeffs", "--=5", "--help"], ["coeffs", "--help", "--d", "x"],
+    ["coeffs", "--d", "x", "--help"], ["scan", "--M", "9", "--d=-2", "--m",
+                                       "-1"],
+    ["scan", "--mi", "3", "--d", "1", "--m", "5", "--M-max", "6", "--mi=4"],
+    ["verify", "--all", "--all"], ["verify", "--list", "--claim", "x"],
+    ["verify", "--all=", "--k", "3"], ["identities", "--only=omega", "--d",
+                                       "4", "--s", "-0"],
+    ["oracle", "--kind", "ddn", "--d", "2", "--n", "-1", "--b", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS)
+def test_parse_args_edge_cases_match_argparse(argv):
+    assert_parses_like_argparse(argv)
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "pdiamonds: error: the following arguments are required: command"),
+    (["nope"], "pdiamonds: error: argument command: invalid choice: 'nope' "
+               "(choose from 'coeffs', 'identities', 'oracle', 'verify', "
+               "'scan')"),
+    (["scan", "--d", "1", "--m", "5", "--M-max", "6", "x"],
+     "pdiamonds: error: unrecognized arguments: x"),
+    (["coeffs", "--series", "nope", "--d", "1"],
+     "pdiamonds coeffs: error: argument --series: invalid choice: 'nope' "
+     "(choose from 'rd', 'sd', 'ddn')"),
+    (["coeffs", "--series", "sd", "--d", "x"],
+     "pdiamonds coeffs: error: argument --d: invalid int value: 'x'"),
+    (["coeffs", "--series", "sd", "--d"],
+     "pdiamonds coeffs: error: argument --d: expected one argument"),
+    # argparse 3.11 read "--d=--" as an empty list, and --d crashed on it
+    (["coeffs", "--series", "sd", "--d=--"],
+     "pdiamonds coeffs: error: argument --d: invalid int value: '--'"),
+    (["verify", "--all", "--li"],
+     "pdiamonds verify: error: argument --list: not allowed with argument "
+     "--all"),
+    (["verify", "--=1"], "pdiamonds verify: error: ambiguous option: --=1 "
+                         "could match --help, --all, --claim, --list, "
+                         "--k-max, --n-max, --budget, --format"),
+    (["scan", "--d", "1"], "pdiamonds scan: error: the following arguments "
+                           "are required: --m, --M-max"),
+    (["verify"], "pdiamonds verify: error: one of the arguments --all "
+                 "--claim --list is required"),
+    (["verify", "--all=1"], "pdiamonds verify: error: argument --all: "
+                            "ignored explicit argument '1'"),
+])
+def test_usage_errors_name_the_fault(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.splitlines()[0].startswith("usage: pdiamonds")
+    assert out.err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_command_or_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    names = cli.COMMANDS[command][2] if command else cli.COMMANDS
+    lines = out.out.splitlines()
+    assert lines[0].startswith("usage: pdiamonds")
+    assert [line.split()[0] for line in lines[1:]] == list(names)

@@ -31,7 +31,7 @@ def run(argv: list) -> tuple:
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # cli.parse_args usage errors
             code = exc.code
     return code, out.getvalue().encode()
 
