@@ -1,10 +1,14 @@
 """Command-line surface: coefficient tables, identity suites, oracle
 cross-validation, congruence verification, and progression scanning.
 
-Exit codes are strict: 0 means success (or all claims verified/held), 1 a
-mathematical counterexample or failed identity, 2 a usage or budget error,
-or (from the pdiamonds script) a reader that closed stdout early.  COMMANDS
-holds every flag and default; parse_args reads argv from it as argparse did.
+Exit codes are strict: 0 means success (or all claims verified/held),
+1 means a mathematical counterexample or failed identity, 2 means a usage
+or budget error, or (from the pdiamonds script) a reader that closed stdout
+early.  Only identities takes --seed, with a fixed default, so identical
+invocations produce byte-identical output.  Only oracle and verify take
+--budget, the work guard, else DIAMOND_BUDGET, validated before any estimate.
+COMMANDS holds every flag and default; parse_args reads argv from it as
+argparse did, without importing argparse.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
 def _emit(payload, fmt: str = "json", header=(), rows=(),
           plain_width: int | None = None) -> None:
     """Print `payload` as JSON, or `rows` as CSV under `header`, or as plain
-    space-separated lines of their first `plain_width` columns."""
+    space-separated lines of their first `plain_width` columns.
+
+    Commands without a table (identities, oracle) accept only JSON.
+    """
     if fmt == "json":
         import json  # only json jobs pay for this import
         print(json.dumps(payload, indent=2))
@@ -249,7 +256,8 @@ def cmd_scan(args: SimpleNamespace) -> int:
 REQUIRED = object()  # the default of a flag that must be given
 WIDTH, KINDS = (int, REQUIRED, None, None), ("rd", "sd", "ddn")
 LENGTH = (int, None, None, "length (ddn only)")
-BUDGET = (int, None, None, "work guard (unset: DIAMOND_BUDGET, else 1e9)")
+BUDGET = (int, None, None, "work guard, a positive integer, checked before "
+          "any estimate (default DIAMOND_BUDGET, else 1e9)")
 FORMAT = {"--format": (str, "json", ("json", "csv", "plain"), None)}
 JSON_ONLY = {"--format": (str, "json", ("json",), None)}  # no table to print
 
@@ -290,13 +298,21 @@ def _usage(command: str | None) -> str:
 
 def _help(command: str | None):
     """Print the usage and what each command or flag takes; exit 0."""
-    rows = [(c, spec[1]) for c, spec in COMMANDS.items() if command is None]
-    for flag, (_, default, choices, text) in \
-            COMMANDS.get(command, (0, 0, {}))[2].items():
-        note = ("required" if default is REQUIRED else "exactly one of "
-                + "/".join(ONE_OF) if flag in ONE_OF else f"default {default}")
-        rows.append((flag, "; ".join(filter(None, (text, choices and (
-            "one of " + ", ".join(choices)), note)))))
+    if command is None:
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        rows = []
+        for flag, (_, default, choices, text) in COMMANDS[command][2].items():
+            notes = [text] if text else []
+            if choices:
+                notes.append("one of " + ", ".join(choices))
+            if default is REQUIRED:
+                notes.append("required")
+            elif flag in ONE_OF:
+                notes.append("exactly one of " + "/".join(ONE_OF))
+            elif default is not None:
+                notes.append(f"default {default}")
+            rows.append((flag, "; ".join(notes)))
     print(_usage(command), *(f"  {a:16}{b}" for a, b in rows), sep="\n")
     raise SystemExit(0)
 
@@ -308,21 +324,30 @@ def _fail(command: str | None, message: str):
 
 
 def _classify(token: str, names, command: str | None):
-    """None for a value, else (name, explicit value or None), name None if
-    unknown: a name, name=value, a long name's unique prefix, or -h<value>."""
-    name, eq, value = token.partition("=")
+    """None for a value, else (name, explicit value or None), with name None
+    for an unknown option.  A name is given whole, as name=value, as a long
+    name's unique prefix, or as -h followed by more h's or a value."""
+    name, eq, explicit = token.partition("=")
+    if not eq:
+        explicit = None
     if name in names:
-        return name, value if eq else None
+        return name, explicit
     if not token.startswith("-") or token in ("-", "--"):
         return None
-    tail = token[2:].lstrip("h") or None  # "-hh" is -h twice
-    found = ([(n, value if eq else None) for n in names if n.startswith(name)]
-             if token[1] == "-" else [("-h", tail)] * (token[1] == "h"))
+    if token.startswith("--"):
+        found = [n for n in names if n.startswith(name)]
+    elif token[1] == "h":
+        found = ["-h"]
+        explicit = token[2:].lstrip("h") or None  # "-hh" is -h twice
+    else:
+        found = []
     if len(found) > 1:
         _fail(command, f"ambiguous option: {token} could match "
-                       + ", ".join(n for n, _ in found))
-    if found or re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return found[0] if found else None  # else a number or spaced text
+                       + ", ".join(found))
+    if found:
+        return found[0], explicit
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number or spaced text is a value
     return None, None
 
 
@@ -344,31 +369,47 @@ def parse_args(argv=None) -> SimpleNamespace:
     """The command, its handler and one attribute per flag ("--M-max" sets
     M_max), read from COMMANDS; a usage error exits 2 and help exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command, flags, given, extras = None, {}, {}, []
-    options, j, cut = [_classify(t, HELP, None) for t in argv], 0, len(argv)
+    command, handler, flags = None, None, {}
+    given, extras = {}, []
+    options = [_classify(token, HELP, None) for token in argv]
+    cut = len(argv)  # where the options end: at "--", or the end of argv
+    j = 0
     while j < cut:
-        (flag, value), j = options[j] or (None, None), j + 1
-        kind, _, choices, _ = flags.get(flag, (bool, 0, None, 0))
-        if command is None and options[j - 1] is None:  # the command
-            command = _value(None, "command", str, argv[j - 1], COMMANDS)
+        token, option = argv[j], options[j]
+        j += 1
+        if option is None and command is None:
+            command = _value(None, "command", str, token, COMMANDS)
             handler, _, flags = COMMANDS[command]
-            cut = argv.index("--", j) if "--" in argv[j:] else cut
+            if "--" in argv[j:]:
+                cut = argv.index("--", j)
             options[j:cut] = [_classify(t, (*HELP, *flags), command)
-                              for t in argv[j:cut]]  # "--" ends the options
-        elif flag is None:  # an unknown option or a stray value
-            extras.append(argv[j - 1])
-        elif flag in ONE_OF and (other := {*ONE_OF} & given.keys() - {flag}):
-            _fail(command, f"argument {flag}: not allowed with argument "
-                           f"{other.pop()}")
-        elif kind is bool:  # a bool flag takes no value, nor does help
+                              for t in argv[j:cut]]
+            continue
+        if option is None or option[0] is None:  # a stray value or option
+            extras.append(token)
+            continue
+        flag, value = option
+        # -h/--help is the one flag that the table does not hold
+        kind, _, choices, _ = flags.get(flag, (bool, None, None, None))
+        if kind is bool:  # a store-true flag or help takes no value
             if value is not None:
-                _fail(command, f"argument {flag}: ignored explicit argument "
+                name = "/".join(HELP) if flag in HELP else flag
+                _fail(command, f"argument {name}: ignored explicit argument "
                                f"{value!r}")
-            given[flag] = _help(command) if flag in HELP else True
+            if flag in HELP:
+                _help(command)
+            value = True
         else:
             if value is None and j < cut and options[j] is None:
-                value, j = argv[j], j + 1
-            given[flag] = _value(command, flag, kind, value, choices)
+                value = argv[j]
+                j += 1
+            value = _value(command, flag, kind, value, choices)
+        # as in argparse, a group conflict is checked after the value
+        others = [f for f in ONE_OF if f in given and f != flag]
+        if flag in ONE_OF and others:
+            _fail(command, f"argument {flag}: not allowed with argument "
+                           f"{others[0]}")
+        given[flag] = value
     missing = [f for f, spec in flags.items()
                if spec[1] is REQUIRED and f not in given]
     if command is None or missing:
@@ -376,8 +417,9 @@ def parse_args(argv=None) -> SimpleNamespace:
                        + (", ".join(missing) or "command"))
     if ONE_OF[0] in flags and not given.keys() & ONE_OF:
         _fail(command, f"one of the arguments {' '.join(ONE_OF)} is required")
-    if extras + argv[cut:]:
-        _fail(None, "unrecognized arguments: " + " ".join(extras + argv[cut:]))
+    if extras or cut < len(argv):
+        _fail(None, "unrecognized arguments: "
+                    + " ".join(extras + argv[cut:]))
     return SimpleNamespace(command=command, handler=handler, **{
         f[2:].replace("-", "_"): given.get(f, s[1]) for f, s in flags.items()})
 

@@ -573,7 +573,8 @@ def test_stdout_matches_stored_digest(capsys, monkeypatch, references, key):
 
 # The argparse parser that cli.parse_args replaced, kept verbatim as the
 # reference of the differential tests below.
-BUDGET_HELP = cli.BUDGET[3]
+BUDGET_HELP = ("work guard, a positive integer, checked before any estimate "
+               "(default DIAMOND_BUDGET, else 1e9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,6 +664,8 @@ def assert_parses_like_argparse(argv):
         assert out == ""
         assert err.startswith("usage: pdiamonds")
         assert "error: " in err.splitlines()[-1]
+        if sys.version_info[:2] == (3, 11):  # messages differ by release
+            assert err.splitlines()[-1] == want[2].splitlines()[-1], argv
 
 
 # Tokens that argparse 3.10.13, 3.11.7, 3.12.1 and 3.13.0 all read the same
@@ -768,6 +771,7 @@ EDGE_ARGVS = [
                                        "-1"],
     ["scan", "--mi", "3", "--d", "1", "--m", "5", "--M-max", "6", "--mi=4"],
     ["verify", "--all", "--all"], ["verify", "--list", "--claim", "x"],
+    ["verify", "--all", "--claim"], ["verify", "--all", "--list=1"],
     ["verify", "--all=", "--k", "3"], ["identities", "--only=omega", "--d",
                                        "4", "--s", "-0"],
     ["oracle", "--kind", "ddn", "--d", "2", "--n", "-1", "--b", "10"],
