@@ -188,7 +188,8 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     _check_d(args)
     _check_n(args.kind, "--kind", args.n)
     mismatches = []
-    # the guarded enumeration runs first, so a refused job builds no series
+    # the guarded enumeration runs first, so a refused job builds no
+    # comparison series (its guard only sums the closed form it checks)
     if args.kind == "ddn":
         counts = series_Ddn_bruteforce(args.d, args.n, args.N,
                                        args.budget).coeffs

@@ -48,10 +48,11 @@ def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting d-fold partition diamonds by total node sum.
 
     prod_n F_d(q^{(n-1)(d+1)+1}, q) / (q; q)_inf: the n-th factor is
-    F_d(q^{(n-1)(d+1)+1}, q) / (1 - q^n).
+    F_d(q^{(n-1)(d+1)+1}, q) / (1 - q^n).  d = 0 (links only, F_0 = 1) is
+    1/(q; q)_inf, the partitions.
     """
-    if d < 1 or order < 1:
-        raise ValueError("need d >= 1 and order >= 1")
+    if d < 0 or order < 1:
+        raise ValueError("need d >= 0 and order >= 1")
     fd = fd_poly(d)
 
     def numerator(n: int) -> dict:
@@ -128,10 +129,11 @@ def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
 
     For cell k the factor is F_d(q^{k(d+1)+1}, q) over the d+1 factors
     (1 - q^{k(d+1)+1+t}), t = 0..d, and the chain closes with
-    1 / (1 - q^{(n+1)+dn}).
+    1 / (1 - q^{(n+1)+dn}).  d = 0 gives 1/(q; q)_{n+1}, the partitions
+    into at most n + 1 parts.
     """
-    if d < 1 or n < 1 or order < 1:
-        raise ValueError("need d >= 1, n >= 1, order >= 1")
+    if d < 0 or n < 1 or order < 1:
+        raise ValueError("need d >= 0, n >= 1, order >= 1")
     fd = fd_poly(d)
     acc = [1] + [0] * (order - 1)
     for k in range(n):

@@ -22,28 +22,29 @@ walks the link chains from its own explicit stack and multiplies out the
 independent fan choices of its cells; count_sd_raw walks them from a
 stack too, but iterates those fan values, one diamond at a time.  No
 function here recurses.  This module is the ground-truth oracle the
-closed-form generating functions are tested against, so it must not reuse
-the algebra it is checking: it takes nothing from genfun or polynomials,
-and from series only the TruncatedSeries return type and the Record base
-class.
+closed-form generating functions are tested against, so the enumerations
+must not reuse the algebra they check: they take nothing from genfun or
+polynomials, and from series only the TruncatedSeries return type and the
+Record base class.
 
 Every enumerator first runs the one guard, check_budget: it validates the
 budget, then computes an exact count of its result: the number of diamonds
 counted for rd and ddn (the sum of the returned counts, not the number of
 chains walked), and of link chain prefixes for sd.  The rd and ddn
-estimators are iterative sweeps over weight vectors, one per link value,
-O(d N^2) for free length and O(d n N^2) for a fixed shape; the sd
-estimator is the partition coin DP.  They only decide whether an
-enumeration is affordable, never what it returns.
+estimators are the coefficient sums of the closed forms the enumerations
+are checked against, rd_series and ddn_series_closed; the sd estimator is
+the partition coin DP.  The estimators only decide whether an enumeration
+is affordable, never what it returns, so a wrong closed form can move the
+budget line but cannot make an enumeration agree with it.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import accumulate, product, repeat
-from math import comb
-from operator import add, mul, sub
+from itertools import accumulate, product
+from operator import add, sub
 
+from .genfun import ddn_series_closed, rd_series
 from .series import Record, TruncatedSeries
 
 __all__ = [
@@ -71,13 +72,12 @@ class BudgetError(RuntimeError):
 
 
 class DiamondShape(Record):
-    """Fixed-shape diamond: fan width d >= 1 and n >= 0 chain cells."""
+    """Fixed-shape diamond: fan width d >= 0 and n >= 0 chain cells."""
 
     __slots__ = ("d", "n")
 
     def __init__(self, d: int, n: int):
-        if d < 1:
-            raise ValueError("fan width d must be >= 1")
+        _check_width(d)
         if n < 0:
             raise ValueError("cell count n must be >= 0")
         super().__init__(d, n)
@@ -164,109 +164,28 @@ def _check_width(d: int):
 # Exact work estimators (guard only; results come from the enumerations)
 # ---------------------------------------------------------------------
 
-def _shifted(vec, s: int, size: int) -> list:
-    """q^s * vec, truncated to `size` coefficients."""
-    return [0] * size if s >= size else [0] * s + list(vec)[:size - s]
-
-
-class _FanBoxes:
-    """Fan boxes sum_{c > a} (1 + q + ... + q^{c-a})^d V_c while a runs down.
-
-    With (1 + ... + q^g)^d = (1 - q)^-d sum_j (-1)^j C(d, j) q^{j(g+1)}, the
-    box is d prefix-sum passes over the d+1 suffix accumulations
-    T_j = sum_{c > a} q^{j(c-a+1)} V_c.  Moving from link value a to a - 1
-    is T_j <- q^j (T_j + q^j V_a).  T_j starts at q^{2j}, so only j with
-    2j < size ever holds a coefficient.
-
-    The sweep starts at link value `top`.  Above it a link can only be the
-    first of a chain (a cell ending at link c already weighs (d+1)c >=
-    size), so V_c = q^c there and T_j = sum_{c > top} q^{(j+1)c - j(top-1)}
-    is filled in directly; top >= size - 1 starts from all zeros.
-    """
-
-    def __init__(self, d: int, size: int, top: int):
-        self.d = d
-        self.size = size
-        live = min(d, (size - 1) // 2)
-        self.signs = [(-1) ** j * comb(d, j) for j in range(live + 1)]
-        self.acc = []
-        for j in range(live + 1):
-            acc = [0] * size
-            start = top + 1 + 2 * j
-            acc[start::j + 1] = repeat(1, len(range(start, size, j + 1)))
-            self.acc.append(acc)
-
-    def box(self) -> list:
-        total = self.acc[0]
-        for sign, acc in zip(self.signs[1:], self.acc[1:]):
-            total = list(map(add, total, map(mul, repeat(sign), acc)))
-        for _ in range(self.d):
-            total = list(accumulate(total))
-        return total
-
-    def push(self, vec: list) -> None:
-        """Step from link value a to a - 1, given V_a."""
-        size, acc = self.size, self.acc
-        acc[0] = list(map(add, acc[0], vec))
-        for j in range(1, len(acc)):
-            acc[j] = _shifted(map(add, acc[j], _shifted(vec, j, size)),
-                              j, size)
-
-
 def estimate_rd_enumeration(d: int, n_max: int) -> int:
     """Exact number of diamonds of total weight <= n_max.
 
-    U_a, the weight vector of chain prefixes ending at link a, is
-    q^a (a one-link chain) plus q^{(d+1)a} times the fan box over every
-    heavier link, divided by 1 - q^{(d+1)a} for the equal-link cells (all
-    fans = a): a stride prefix sum.  Links run from n_max // (d+1) down; a
-    diamond ends at its first zero link, so the total is 1 + the last box.
-    O(d * n_max^2) integer operations, no recursion.
+    The coefficient sum of rd_series(d, n_max + 1): the closed form counts
+    the same diamonds the enumeration visits.
     """
     _check_width(d)
     if n_max < 0:
         return 0
-    size = n_max + 1
-    top = n_max // (d + 1)
-    fans = _FanBoxes(d, size, top)
-    for a in range(top, 0, -1):
-        step = (d + 1) * a
-        box = fans.box()
-        u = [0] * size
-        u[a] = 1
-        for w in range(step, size):
-            u[w] += box[w - step] + u[w - step]
-        fans.push(u)
-    return 1 + sum(fans.box())
+    return sum(rd_series(d, n_max + 1).coeffs)
 
 
 def estimate_ddn_enumeration(d: int, n: int, order: int) -> int:
     """Exact number of shape-(d, n) diamonds of weight < order.
 
-    Layer k holds the weight vectors of k-cell prefixes by last link a; cell
-    k + 1 maps the links c >= a of layer k to layer k + 1 as q^{(d+1)a}
-    (fan box over c > a, plus the c = a term).  One sweep over a from
-    (order-1) // (d+1) down updates every layer; a heavier link can only
-    be a_0.  O(d * n * order^2) integer operations, no recursion.
+    The coefficient sum of ddn_series_closed(d, n, order); with no cells
+    the shape is one link, one diamond per weight.
     """
     _check_width(d)
     if n == 0 or order < 1:
         return max(order, 0)
-    size = order
-    top = (size - 1) // (d + 1)
-    fans = [_FanBoxes(d, size, top)]
-    fans += [_FanBoxes(d, size, size) for _ in range(n - 1)]
-    total = 0
-    for a in range(top, -1, -1):
-        step = (d + 1) * a
-        v = [0] * size
-        v[a] = 1  # layer 0: the link a_0 = a
-        for layer in fans:
-            nxt = _shifted(map(add, layer.box(), v), step, size)
-            layer.push(v)
-            v = nxt
-        total += sum(v)
-    return total
+    return sum(ddn_series_closed(d, n, order).coeffs)
 
 
 def estimate_sd_enumeration(n_max: int) -> int:

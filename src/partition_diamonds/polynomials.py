@@ -11,7 +11,7 @@ the coefficient form of A_d = (1 + (d-1) q) A_{d-1} + q (1 - q) A'_{d-1}.
 F_d is the numerator of the one-cell transfer generating function for
 d-fold partition diamonds:
 
-    F_1 = 1,
+    F_0 = 1,
     F_d = [ (1 - q0 w^d) F_{d-1}(q0, w) - w (1 - q0) F_{d-1}(q0 w, w) ] / (1 - w).
 
 The division by (1 - w) is exact; it is carried out by synthetic division
@@ -149,10 +149,10 @@ def eulerian_poly(d: int) -> UnivariatePolynomial:
 
 @lru_cache(maxsize=None)
 def fd_poly(d: int) -> BivariatePolynomial:
-    """The cell-transfer numerator F_d(q0, w); degree d-1 in q0."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
+    """The cell-transfer numerator F_d(q0, w); degree max(d-1, 0) in q0."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if d == 0:
         return BivariatePolynomial({(0, 0): 1})
     dividend = defaultdict(int)
     for (i, j), c in fd_poly(d - 1).terms.items():
@@ -161,9 +161,10 @@ def fd_poly(d: int) -> BivariatePolynomial:
         dividend[i, i + j + 1] -= c                # - w (1 - q0) F_{d-1}(q0 w, w)
         dividend[i + 1, i + j + 1] += c
     quotient = BivariatePolynomial(dividend).divide_by_one_minus_w()
-    if quotient.degree_q0() != d - 1:
+    if quotient.degree_q0() != max(d - 1, 0):
         raise ArithmeticError(
-            f"F_{d} has degree {quotient.degree_q0()} in q0, expected {d - 1}; "
+            f"F_{d} has degree {quotient.degree_q0()} in q0, "
+            f"expected {max(d - 1, 0)}; "
             "the recurrence invariant is broken"
         )
     return quotient

@@ -50,7 +50,6 @@ __all__ = [
     "jacobi_cube_series",
     "reduce_mod",
     "series_to_json_dict",
-    "series_from_json_dict",
 ]
 
 
@@ -241,9 +240,6 @@ class TruncatedSeries(Record):
 
     def nonzero_terms(self) -> list:
         return [(i, c) for i, c in enumerate(self.coeffs) if c]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __str__(self):
         parts = [f"{c}*q^{i}" for i, c in self.nonzero_terms()[:8]]
@@ -564,11 +560,3 @@ def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
 def series_to_json_dict(s: TruncatedSeries) -> dict:
     ring = "Z" if s.ring.is_exact else {"mod": s.ring.modulus}
     return {"ring": ring, "order": s.order, "coeffs": [str(c) for c in s.coeffs]}
-
-
-def series_from_json_dict(obj: dict) -> TruncatedSeries:
-    ring = ZZ if obj["ring"] == "Z" else RingSpec(obj["ring"]["mod"])
-    coeffs = [int(c) for c in obj["coeffs"]]
-    if len(coeffs) != obj["order"]:
-        raise ValueError("coeffs length disagrees with order")
-    return TruncatedSeries.from_coeffs(coeffs, ring=ring)

@@ -27,7 +27,7 @@ def test_rd_small_values():
     assert rd_series(3, 6).coeffs[0] == 1
 
 
-@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("d", (0, 1, 2, 3))
 def test_rd_matches_enumeration(d):
     order = 16
     assert rd_series(d, order).coeffs == \
@@ -79,7 +79,8 @@ def test_ddn_closed_constant_terms():
         assert ddn_series_closed(d, n, 5).coeffs[0] == 1
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("d,n", [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1),
+                                 (2, 2), (3, 1)])
 def test_ddn_closed_matches_bruteforce(d, n):
     order = 12
     assert ddn_series_closed(d, n, order) == \

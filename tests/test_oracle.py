@@ -47,7 +47,7 @@ def brute_partition_count(n):
 def test_shape_invariants():
     assert DiamondShape(3, 4).node_count == 5 + 12
     with pytest.raises(ValueError):
-        DiamondShape(0, 1)
+        DiamondShape(-1, 1)
     with pytest.raises(ValueError):
         DiamondShape(1, -1)
 

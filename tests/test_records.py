@@ -109,7 +109,7 @@ VALIDATION = [
     (lambda: RingSpec(1 << 64),
      f"modulus must fit in 64 bits, got {1 << 64}"),
     (lambda: TruncatedSeries(ZZ, ()), "series order must be >= 1"),
-    (lambda: DiamondShape(0, 1), "fan width d must be >= 1"),
+    (lambda: DiamondShape(-1, 1), "fan width d must be >= 0, got -1"),
     (lambda: DiamondShape(1, -1), "cell count n must be >= 0"),
     (lambda: DiamondConfig((), ()), "need at least one link"),
     (lambda: DiamondConfig((2, 1), ()), "need one fan row per cell"),
@@ -144,6 +144,11 @@ CLAIM_RING_WIDTH = (lambda: CongruenceClaim(4, 1, 5, 2, modulus=1 << 64),
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make()
+
+
+def test_zero_width_config_has_a_shape():
+    # d = 0 (links only) is a width the enumerations accept
+    assert DiamondConfig((2, 1), ((),)).shape == DiamondShape(0, 1)
 
 
 def test_record_takes_one_value_per_field():

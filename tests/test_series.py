@@ -12,7 +12,7 @@ import pytest
 
 from partition_diamonds.series import (
     RingSpec, TruncatedSeries, ZZ, jacobi_cube_series, pentagonal_series,
-    product_family, reduce_mod, series_from_json_dict, series_to_json_dict,
+    product_family, reduce_mod, series_to_json_dict,
 )
 
 
@@ -318,15 +318,13 @@ def test_product_family_error_messages():
 
 # -- serialization -------------------------------------------------------
 
-def test_json_roundtrip():
+def test_json_dict_and_str():
     s = TruncatedSeries.from_coeffs([10 ** 30, -2, 0, 7])
-    d = series_to_json_dict(s)
-    assert d["ring"] == "Z" and d["coeffs"][0] == str(10 ** 30)
-    assert series_from_json_dict(d) == s
+    assert series_to_json_dict(s) == {
+        "ring": "Z", "order": 4, "coeffs": [str(10 ** 30), "-2", "0", "7"]}
     t = TruncatedSeries.from_coeffs([1, 6], ring=RingSpec(7))
-    d = series_to_json_dict(t)
-    assert d["ring"] == {"mod": 7}
-    assert series_from_json_dict(d) == t
+    assert series_to_json_dict(t) == {"ring": {"mod": 7}, "order": 2,
+                                      "coeffs": ["1", "6"]}
     # str shows at most eight nonzero terms, then the truncation order
     assert str(s) == f"{10 ** 30}*q^0 + -2*q^1 + 7*q^3 + O(q^4)"
     assert str(TruncatedSeries.zero(3)) == "0 + O(q^3)"
