@@ -66,9 +66,9 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
 
     The n-th factor is sum_j (j+1)^d q^{jn} = A_d(q^n) / (1 - q^n)^(d+1)
     with A_d the Eulerian polynomial, so the series is prod_n A_d(q^n) /
-    (q;q)^{d+1}.  A_1 = 1, and A_2 = 1 + x makes prod_n A_2(q^n) =
-    (q^2;q^2)/(q;q), so s_1 = 1/(q;q)^2 and s_2 = (q^2;q^2)/(q;q)^4 need
-    no numerator.
+    (q;q)^{d+1}.  A_0 = A_1 = 1, so s_0 = 1/(q;q) (links only: the
+    partitions) and s_1 = 1/(q;q)^2; A_2 = 1 + x makes prod_n A_2(q^n) =
+    (q^2;q^2)/(q;q), so s_2 = (q^2;q^2)/(q;q)^4 needs no numerator.
 
     Over Z/mZ the series depends on d only through the table (j+1)^d mod m
     for j < min(m, order), so a d whose table equals the table of exponent
@@ -76,8 +76,8 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     factor n is also sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}),
     with j cut off at the truncation order, so (q^m;q^m) in all.
     """
-    if d < 1 or order < 1:
-        raise ValueError("need d >= 1 and order >= 1")
+    if d < 0 or order < 1:
+        raise ValueError("need d >= 0 and order >= 1")
     m = ring.modulus
     if m is not None:
         powers = [pow(j + 1, d, m) for j in range(min(m, order))]
@@ -110,8 +110,8 @@ def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSe
     Eulerian polynomials and multiplied in through product_family; agreement
     with sd_series is the Euler identity behind the sd closed form.
     """
-    if d < 1 or order < 1:
-        raise ValueError("need d >= 1 and order >= 1")
+    if d < 0 or order < 1:
+        raise ValueError("need d >= 0 and order >= 1")
 
     def factor(n: int) -> TruncatedSeries:
         terms = {}

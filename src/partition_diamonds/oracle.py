@@ -28,14 +28,13 @@ polynomials, and from series only the TruncatedSeries return type and the
 Record base class.
 
 Every enumerator first runs the one guard, check_budget: it validates the
-budget, then computes an exact count of its result: the number of diamonds
-counted for rd and ddn (the sum of the returned counts, not the number of
-chains walked), and of link chain prefixes for sd.  The rd and ddn
-estimators are the coefficient sums of the closed forms the enumerations
-are checked against, rd_series and ddn_series_closed; the sd estimator is
-the partition coin DP.  The estimators only decide whether an enumeration
-is affordable, never what it returns, so a wrong closed form can move the
-budget line but cannot make an enumeration agree with it.
+budget, then reads an exact count off a closed form: for rd and ddn the
+diamonds counted (the sum of the returned counts, not the chains walked),
+the coefficient sums of rd_series and ddn_series_closed; for sd the link
+chains, the width-0 diamonds of rd_series(0, .) = 1/(q;q), then for
+count_sd_raw s_d(n) from sd_series_factorwise.  The closed forms only
+decide whether an enumeration is affordable, never what it returns, so a
+wrong one can move the budget line but not make an enumeration agree.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import os
 from itertools import accumulate, product
 from operator import add, sub
 
-from .genfun import ddn_series_closed, rd_series
+from .genfun import ddn_series_closed, rd_series, sd_series_factorwise
 from .series import Record, TruncatedSeries
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "series_Ddn_shifted",
     "estimate_rd_enumeration",
     "estimate_ddn_enumeration",
-    "estimate_sd_enumeration",
 ]
 
 DEFAULT_BUDGET = 10 ** 9
@@ -188,21 +186,6 @@ def estimate_ddn_enumeration(d: int, n: int, order: int) -> int:
     return sum(ddn_series_closed(d, n, order).coeffs)
 
 
-def estimate_sd_enumeration(n_max: int) -> int:
-    """Exact number of link chains of weight <= n_max: sum of p(w), w <= n_max.
-
-    Each chain is one chain prefix visited by count_sd_upto.  Counted with
-    the coin DP over part sizes 1..n_max.
-    """
-    if n_max < 0:
-        return 0
-    parts = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for w in range(part, n_max + 1):
-            parts[w] += parts[w - part]
-    return sum(parts)
-
-
 # ---------------------------------------------------------------------
 # The link-chain walk
 # ---------------------------------------------------------------------
@@ -285,7 +268,7 @@ def count_sd_upto(d: int, n_max: int, budget: int | None = None) -> list:
     _check_width(d)
     if n_max < 0:
         raise ValueError("weight must be >= 0")
-    check_budget(budget, lambda: estimate_sd_enumeration(n_max),
+    check_budget(budget, lambda: estimate_rd_enumeration(0, n_max),
                  f"count_sd(d={d}, n<={n_max})")
     cell = [(gap + 1) ** d for gap in range(n_max + 1)]
     counts = [0] * (n_max + 1)
@@ -313,12 +296,17 @@ def count_sd_raw(d: int, n: int, budget: int | None = None) -> int:
     A chain of link sum n closes with a drop to zero, and
     itertools.product then iterates every fan value of every cell, one
     diamond at a time.  Independent of the (gap+1)^d shortcut that
-    count_sd_upto uses; kept as the raw oracle for cross-checking it.  The
-    guard's estimate is s_d(n) itself, the number of diamonds enumerated.
+    count_sd_upto uses; kept as the raw oracle for cross-checking it.
+    Guarded by its chains, then by s_d(n) from the termwise product, which
+    needs no A_d (O(d^2) to build) at the small n the chain guard admits.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
-    check_budget(budget, lambda: count_sd(d, n, budget),
+    limit = enumeration_budget(budget)
+    _check_width(d)
+    check_budget(limit, lambda: estimate_rd_enumeration(0, n),
+                 f"count_sd(d={d}, n<={n})")
+    check_budget(limit, lambda: sd_series_factorwise(d, n + 1).coeffs[n],
                  f"count_sd_raw(d={d}, n={n})")
     total = 0
     # n = 0 has one diamond: a zero link, its fans forced to zero

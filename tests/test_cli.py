@@ -277,8 +277,7 @@ def test_bad_budget_env_exit_2_before_any_estimate(capsys, monkeypatch,
     def no_estimate(*args):
         raise AssertionError("an estimate ran before the budget check")
 
-    for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration",
-                 "estimate_sd_enumeration"):
+    for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration"):
         monkeypatch.setattr(oracle, name, no_estimate)
     monkeypatch.setattr(congruences, "_claim_work_estimate", no_estimate)
     monkeypatch.setenv("DIAMOND_BUDGET", "abc")

@@ -103,8 +103,9 @@ def test_rd_series_differential(d, order, m):
 
 
 @DIFFERENTIAL
-@given(d=st.integers(1, 6), order=st.integers(1, 30), m=st.integers(2, 12))
+@given(d=st.integers(0, 6), order=st.integers(1, 30), m=st.integers(2, 12))
 @example(d=1, order=1, m=2)
+@example(d=0, order=30, m=5)
 @example(d=6, order=30, m=7)
 def test_sd_series_differential(d, order, m):
     counts = TruncatedSeries.from_coeffs(count_sd_upto(d, order - 1))

@@ -43,8 +43,13 @@ def in_ring(series, ring):
 # -- closed forms ---------------------------------------------------------
 
 @SETTINGS
-@given(d=st.integers(1, 13), order=st.integers(1, 80), ring=rings)
+@given(d=st.integers(0, 13), order=st.integers(1, 80), ring=rings)
 @example(d=3, order=1, ring=ZZ)
+@example(d=0, order=80, ring=ZZ)                # s_0 = 1/(q;q)
+@example(d=0, order=80, ring=RingSpec(2))
+@example(d=0, order=80, ring=RingSpec(5))
+@example(d=0, order=80, ring=RingSpec(12))
+@example(d=0, order=80, ring=RingSpec(NEAR_2_64))
 @example(d=5, order=1, ring=RingSpec(7))
 @example(d=13, order=80, ring=RingSpec(4))      # d > m, prime power
 @example(d=13, order=80, ring=RingSpec(12))     # d > m, composite

@@ -19,7 +19,7 @@ from partition_diamonds.oracle import (
     BudgetError, DiamondConfig, DiamondShape, count_rd, count_rd_upto,
     count_sd, count_sd_raw, count_sd_upto, enumeration_budget,
     estimate_ddn_enumeration, estimate_rd_enumeration,
-    estimate_sd_enumeration, series_Ddn_bruteforce, series_Ddn_shifted,
+    series_Ddn_bruteforce, series_Ddn_shifted,
 )
 from partition_diamonds.series import TruncatedSeries
 
@@ -105,6 +105,26 @@ def test_count_sd_raw_refuses_oversized_enumeration():
     assert count_sd(4, 20) > 10 ** 9
     with pytest.raises(BudgetError):
         count_sd_raw(4, 20)
+
+
+@pytest.mark.parametrize("d, n, message", [
+    (2, 65, "count_sd_raw(d=2, n=65): estimated 7981655159856 "
+            "configurations exceeds budget 1000000000"),
+    (0, 100, "count_sd(d=0, n<=100): estimated 1642992568 "
+             "configurations exceeds budget 1000000000"),
+])
+def test_count_sd_raw_refuses_without_enumerating(monkeypatch, d, n,
+                                                  message):
+    # the guard reads the chain count and s_d(n) off the closed forms
+    def no_enumeration(*args):
+        raise AssertionError("an enumeration ran inside the guard")
+
+    for name in ("count_sd", "count_sd_upto"):
+        monkeypatch.setattr(oracle, name, no_enumeration)
+    monkeypatch.delenv("DIAMOND_BUDGET", raising=False)
+    with pytest.raises(BudgetError) as refused:
+        count_sd_raw(d, n)
+    assert str(refused.value) == message
 
 
 def test_monotone_in_d():
@@ -315,9 +335,10 @@ def test_count_sd_raw_needs_no_recursion():
 def test_sd_estimate_counts_visited_chains():
     for n_max in range(0, 26):
         # with d = 0 every visited chain prefix closes exactly one diamond
-        # of count 1, so the returned total is the number of visits
+        # of count 1, so the returned total is the number of visits; the sd
+        # guard counts them as the diamonds of width 0
         visited = sum(count_sd_upto(0, n_max))
-        assert estimate_sd_enumeration(n_max) == visited
+        assert estimate_rd_enumeration(0, n_max) == visited
         assert visited == sum(brute_partition_count(n)
                               for n in range(n_max + 1))
 
@@ -331,9 +352,12 @@ def test_sd_budget_guard_and_env_override(monkeypatch):
     with pytest.raises(BudgetError):
         count_sd_upto(1, 30)
     monkeypatch.delenv("DIAMOND_BUDGET")
-    # the estimate is exact, so a budget of exactly that size passes
-    assert count_sd_upto(1, 30, budget=estimate_sd_enumeration(30))[30] \
-        == count_sd(1, 30)
+    # the estimate is exact, so a budget of exactly that size passes and
+    # one less is refused
+    chains = estimate_rd_enumeration(0, 30)
+    assert count_sd_upto(1, 30, budget=chains)[30] == count_sd(1, 30)
+    with pytest.raises(BudgetError, match=f"estimated {chains} "):
+        count_sd_upto(1, 30, budget=chains - 1)
 
 
 @pytest.mark.parametrize("value", [0, -5])
@@ -358,7 +382,7 @@ def test_budget_is_validated_before_any_estimate(monkeypatch, call):
         raise AssertionError("an estimate ran before the budget check")
 
     for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration",
-                 "estimate_sd_enumeration", "count_sd"):
+                 "sd_series_factorwise", "count_sd"):
         monkeypatch.setattr(oracle, name, no_estimate)
     with pytest.raises(ValueError,
                        match="budget must be a positive integer, got 0"):
@@ -370,7 +394,8 @@ def test_negative_width_is_rejected():
                  lambda: estimate_ddn_enumeration(-1, 2, 5),
                  lambda: count_rd_upto(-1, 5),
                  lambda: series_Ddn_bruteforce(-1, 2, 5),
-                 lambda: count_sd_upto(-1, 5)):
+                 lambda: count_sd_upto(-1, 5),
+                 lambda: count_sd_raw(-1, 5)):
         with pytest.raises(ValueError, match="fan width"):
             call()
 
