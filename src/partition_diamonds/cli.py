@@ -71,11 +71,14 @@ def _check_positive(*flags) -> None:
 
 
 def _check_n(kind: str, flag: str, n: int | None) -> None:
-    """--n is the ddn cell count: required there, refused elsewhere."""
-    if kind == "ddn" and n is None:
+    """--n is the ddn cell count: required there and >= 1, refused elsewhere."""
+    if kind != "ddn":
+        if n is not None:
+            raise ValueError(f"--n applies only to {flag} ddn, not {kind}")
+    elif n is None:
         raise ValueError(f"{flag} ddn requires --n")
-    if kind != "ddn" and n is not None:
-        raise ValueError(f"--n applies only to {flag} ddn, not {kind}")
+    else:
+        _check_positive(("--n", n))
 
 
 def _closed_form(kind: str, d: int, order: int, n: int | None = None,
@@ -94,6 +97,7 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
 def cmd_coeffs(args: SimpleNamespace) -> int:
     _check_d(args)
     _check_n(args.series, "--series", args.n)
+    _check_positive(("--N", args.N))
     series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
     _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
           ((i, str(c)) for i, c in enumerate(series.coeffs)))
@@ -187,6 +191,7 @@ def cmd_identities(args: SimpleNamespace) -> int:
 def cmd_oracle(args: SimpleNamespace) -> int:
     _check_d(args)
     _check_n(args.kind, "--kind", args.n)
+    _check_positive(("--N", args.N))
     mismatches = []
     # the guarded enumeration runs first, so a refused job builds no
     # comparison series (its guard only sums the closed form it checks)
@@ -243,7 +248,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 def cmd_scan(args: SimpleNamespace) -> int:
     _check_d(args)
     # a progression that inspects no coefficient would be reported as zero
-    _check_positive(("--M-max", args.M_max),
+    _check_positive(("--N", args.N), ("--M-max", args.M_max),
                     ("--min-support", args.min_support))
     series = _closed_form(args.series, args.d, args.N, mod=args.m)
     found = scan_progressions(series, args.M_max, args.min_support)

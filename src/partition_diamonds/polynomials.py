@@ -9,23 +9,28 @@ letters with k descents, obey
 the coefficient form of A_d = (1 + (d-1) q) A_{d-1} + q (1 - q) A'_{d-1}.
 
 F_d is the numerator of the one-cell transfer generating function for
-d-fold partition diamonds:
+d-fold partition diamonds.  The paper defines it by
 
     F_0 = 1,
-    F_d = [ (1 - q0 w^d) F_{d-1}(q0, w) - w (1 - q0) F_{d-1}(q0 w, w) ] / (1 - w).
+    F_d = [ (1 - q0 w^d) F_{d-1}(q0, w) - w (1 - q0) F_{d-1}(q0 w, w) ] / (1 - w),
 
-The division by (1 - w) is exact; it is carried out by synthetic division
-with an explicit zero-remainder check, so a bad recurrence step fails loudly
-instead of producing a wrong polynomial.  F_d, built from this recurrence,
-equals sum over permutations s of d letters of q0^des(s) w^maj(s), Carlitz's
-q-Eulerian polynomial.  Specializing w = 1 collapses F_d to A_d, which is the
-bridge between diamond counting and Eulerian numbers.
+and it is Carlitz's q-Eulerian polynomial, the sum over permutations s of
+d letters of q0^des(s) w^maj(s).  Its q0^k coefficient F(d, k), a
+polynomial in w, obeys the q-analogue of the A(d, k) loop,
+
+    F(d, k) = [k + 1]_w F(d-1, k) + w^k [d - k]_w F(d-1, k-1),
+    [m]_w = 1 + w + ... + w^(m-1),
+
+which fd_poly runs, so no division by (1 - w) is needed.  Specializing
+w = 1 collapses F_d to A_d, which is the bridge between diamond counting
+and Eulerian numbers.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import add, sub
 
 from .series import Record, RingSpec, TruncatedSeries, ZZ
 
@@ -68,7 +73,10 @@ class UnivariatePolynomial(Record):
 
 
 class BivariatePolynomial:
-    """Sparse exact polynomial in (q0, w): {(i, j): coefficient}, no zeros."""
+    """Sparse exact polynomial in (q0, w): {(i, j): coefficient}, no zeros.
+
+    For F_d, i counts descents and j is the major index.
+    """
 
     __slots__ = ("_terms",)
 
@@ -79,51 +87,11 @@ class BivariatePolynomial:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def degree_q0(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
-
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def divide_by_one_minus_w(self) -> "BivariatePolynomial":
-        """Exact quotient by (1 - w); raises if the remainder is non-zero.
-
-        Synthetic division in w with coefficients in Z[q0]: the quotient
-        w^j slice is the prefix sum of the dividend slices, and the final
-        prefix sum (the dividend evaluated at w = 1) is the remainder.
-        """
-        max_j = max((j for _, j in self._terms), default=0)
-        slices = [dict() for _ in range(max_j + 1)]
-        for (i, j), c in self._terms.items():
-            slices[j][i] = c
-        out = {}
-        prefix = {}
-        for j in range(max_j):
-            for i, c in slices[j].items():
-                prefix[i] = prefix.get(i, 0) + c
-            for i, c in prefix.items():
-                if c:
-                    out[(i, j)] = c
-        remainder = dict(prefix)
-        for i, c in slices[max_j].items():
-            remainder[i] = remainder.get(i, 0) + c
-        if any(remainder.values()):
-            raise ArithmeticError(
-                "division by (1 - w) left a non-zero remainder; "
-                "the recurrence invariant is broken"
-            )
-        return BivariatePolynomial(out)
-
-    def at_w1(self) -> UnivariatePolynomial:
-        """Collapse w = 1, leaving a polynomial in q0."""
-        out = {}
-        for (i, _), c in self._terms.items():
-            out[i] = out.get(i, 0) + c
-        n = max(out, default=-1) + 1
-        return UnivariatePolynomial.from_coeffs(out.get(i, 0) for i in range(n))
 
     def specialized_terms(self, q0_exp: int, w_exp: int, order: int) -> dict:
         """Substitute q0 -> q^q0_exp, w -> q^w_exp: {exponent: coeff} below order."""
@@ -147,27 +115,40 @@ def eulerian_poly(d: int) -> UnivariatePolynomial:
     return UnivariatePolynomial(tuple(row))
 
 
+def _times_q_int(row, m: int) -> list:
+    """The w-coefficients of row(w) * [m]_w: prefix sums less their m-shift."""
+    sums = list(accumulate(chain(row, repeat(0, m - 1))))
+    return list(map(sub, sums, chain(repeat(0, m), sums)))
+
+
 @lru_cache(maxsize=None)
-def fd_poly(d: int) -> BivariatePolynomial:
-    """The cell-transfer numerator F_d(q0, w); degree max(d-1, 0) in q0."""
+def _fd_rows(d: int) -> tuple:
+    """The rows F(d, k), k = 0..max(d-1, 0), as tuples of w-coefficients."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    if d == 0:
-        return BivariatePolynomial({(0, 0): 1})
-    dividend = defaultdict(int)
-    for (i, j), c in fd_poly(d - 1).terms.items():
-        dividend[i, j] += c                        # (1 - q0 w^d) F_{d-1}(q0, w)
-        dividend[i + 1, j + d] -= c
-        dividend[i, i + j + 1] -= c                # - w (1 - q0) F_{d-1}(q0 w, w)
-        dividend[i + 1, i + j + 1] += c
-    quotient = BivariatePolynomial(dividend).divide_by_one_minus_w()
-    if quotient.degree_q0() != max(d - 1, 0):
-        raise ArithmeticError(
-            f"F_{d} has degree {quotient.degree_q0()} in q0, "
-            f"expected {max(d - 1, 0)}; "
-            "the recurrence invariant is broken"
-        )
-    return quotient
+    if d <= 1:
+        return ((1,),)
+    prev = _fd_rows(d - 1)
+    # both terms of a middle row have degree k d - k (k+1) / 2, the largest
+    # maj with k descents, so map(add) pairs every coefficient; the first
+    # row is the identity's, the last w^(d-1) F(d-1, d-2), the reversal's
+    return ((1,),
+            *(tuple(map(add, _times_q_int(prev[k], k + 1),
+                        [0] * k + _times_q_int(prev[k - 1], d - k)))
+              for k in range(1, d - 1)),
+            (0,) * (d - 1) + prev[-1])
+
+
+@lru_cache(maxsize=None)
+def fd_poly(d: int) -> BivariatePolynomial:
+    """The cell-transfer numerator F_d(q0, w); degree max(d-1, 0) in q0.
+
+    Built one row per q0 power by Carlitz's recurrence; the rows of every
+    d' < d stay cached, so a sweep over d builds each row once.
+    """
+    return BivariatePolynomial({(k, j): c
+                                for k, row in enumerate(_fd_rows(d))
+                                for j, c in enumerate(row)})
 
 
 def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
@@ -181,5 +162,5 @@ def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
 
 
 def fd_at_w1(d: int) -> UnivariatePolynomial:
-    """F_d(q0, 1), collected in q0.  Equals eulerian_poly(d)."""
-    return fd_poly(d).at_w1()
+    """F_d(q0, 1), collected in q0: its row sums.  Equals eulerian_poly(d)."""
+    return UnivariatePolynomial(tuple(map(sum, _fd_rows(d))))

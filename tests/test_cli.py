@@ -418,7 +418,7 @@ def test_scan_plain_matches_known_progressions(capsys):
     assert out.splitlines() == ["5 2", "5 3", "5 4"]
 
 
-@pytest.mark.parametrize("flag", ["--min-support", "--M-max"])
+@pytest.mark.parametrize("flag", ["--min-support", "--M-max", "--N"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_scan_bounds_below_one_exit_2_before_building(capsys, monkeypatch,
                                                       flag, value):
@@ -429,6 +429,31 @@ def test_scan_bounds_below_one_exit_2_before_building(capsys, monkeypatch,
     for name in ("rd_series", "sd_series"):
         monkeypatch.setattr(cli, name, no_series)
     code, out, err = run_cli(capsys, *SCAN, flag, value)
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 1, "
+                                       f"got {value}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("coeffs", "--series", "rd", "--d", "1"), "--N"),
+    (("coeffs", "--series", "sd", "--d", "1"), "--N"),
+    (("coeffs", "--series", "ddn", "--d", "1", "--n", "2"), "--N"),
+    (("coeffs", "--series", "ddn", "--d", "1", "--N", "5"), "--n"),
+    (("oracle", "--kind", "rd", "--d", "1"), "--N"),
+    (("oracle", "--kind", "sd", "--d", "1"), "--N"),
+    (("oracle", "--kind", "ddn", "--d", "1", "--n", "2"), "--N"),
+    (("oracle", "--kind", "ddn", "--d", "1", "--N", "5"), "--n"),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v[:3:2]))
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_order_and_length_below_one_name_the_flag(capsys, monkeypatch, argv,
+                                                  flag, value):
+    # the library's own refusal would blame --d or an inner weight
+    def no_work(*args):
+        raise AssertionError("a guard or a series ran")
+
+    for name in ("rd_series", "sd_series", "ddn_series_closed",
+                 "count_rd_upto", "count_sd_upto", "series_Ddn_bruteforce"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv, flag, value)
     assert (code, out, err) == (2, "", f"error: {flag} must be >= 1, "
                                        f"got {value}\n")
 

@@ -1,9 +1,11 @@
 """Eulerian polynomials and the F_d family.
 
 The Eulerian cross-check multiplies the bare power sum sum_j (j+1)^d q^j by
-(1-q)^(d+1) using plain list arithmetic, and the permutation check counts
-(des, maj) over itertools.permutations, so neither leans on any package code
-being tested.
+(1-q)^(d+1) using plain list arithmetic.  F_d, built by Carlitz's row
+recurrence, is checked three other ways: the permutation check counts
+(des, maj) over itertools.permutations, the paper's recurrence and the
+one-cell series identity are multiplied out in plain dicts, so none leans
+on any package code being tested.
 """
 
 import itertools
@@ -80,6 +82,58 @@ def test_fd_is_des_maj_distribution(d):
     assert eulerian_poly(d).coeffs == tuple(by_des)
 
 
+def dict_add(out, key, c):
+    out[key] = out.get(key, 0) + c
+
+
+def nonzero(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_fd_obeys_paper_recurrence(d):
+    # (1 - w) F_d = (1 - q0 w^d) F_{d-1}(q0, w) - w (1 - q0) F_{d-1}(q0 w, w)
+    lhs, rhs = {}, {}
+    for (i, j), c in fd_poly(d).terms.items():
+        dict_add(lhs, (i, j), c)
+        dict_add(lhs, (i, j + 1), -c)
+    for (i, j), c in fd_poly(d - 1).terms.items():
+        dict_add(rhs, (i, j), c)
+        dict_add(rhs, (i + 1, j + d), -c)
+        dict_add(rhs, (i, i + j + 1), -c)
+        dict_add(rhs, (i + 1, i + j + 1), c)
+    assert nonzero(lhs) == nonzero(rhs)
+
+
+def one_cell_numerator(d):
+    """(sum_{g<=d} [g+1]_w^d z^g) * prod_{t=0..d} (1 - z w^t), as
+    {(z exponent, w exponent): coefficient} up to z-degree d."""
+    terms = {}
+    for g in range(d + 1):
+        power = {0: 1}                                # [g+1]_w^d
+        for _ in range(d):
+            step = {}
+            for j, c in power.items():
+                for t in range(g + 1):
+                    dict_add(step, j + t, c)
+            power = step
+        for j, c in power.items():
+            terms[g, j] = c
+    for t in range(d + 1):
+        step = dict(terms)
+        for (g, j), c in terms.items():
+            if g < d:
+                dict_add(step, (g + 1, j + t), -c)
+        terms = step
+    return nonzero(terms)
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_fd_is_one_cell_numerator(d):
+    # sum_g [g+1]_w^d z^g = F_d(z, w) / prod_{t=0..d} (1 - z w^t)
+    assert fd_poly(d).terms == one_cell_numerator(d)
+
+
 def test_fd_small():
     assert fd_poly(1).terms == {(0, 0): 1}
     assert fd_poly(2).terms == {(0, 0): 1, (1, 1): 1}
@@ -93,7 +147,7 @@ def test_fd_small():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_fd_degree_in_q0(d):
-    assert fd_poly(d).degree_q0() == d - 1
+    assert max(i for i, _ in fd_poly(d).terms) == d - 1
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -117,10 +171,11 @@ def test_fd_specialize_rejects_bad_exponents():
         fd_specialize(2, 1, -1, 5)
 
 
-def test_division_guard_fires_on_nonexact_input():
-    p = BivariatePolynomial({(0, 0): 1, (0, 1): 1})  # 1 + w, not divisible
-    with pytest.raises(ArithmeticError):
-        p.divide_by_one_minus_w()
+def test_fd_rejects_negative_d():
+    # the row builder's base case d <= 1 must not answer for d < 0
+    for build in (fd_poly, fd_at_w1, eulerian_poly):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            build(-1)
 
 
 def test_univariate_basics():
@@ -128,15 +183,3 @@ def test_univariate_basics():
     assert p.coeffs == (1, 2) and p.degree == 1
     zero = UnivariatePolynomial.from_coeffs([0, 0])
     assert zero.coeffs == () and zero.degree == -1
-
-
-def test_fd_poly_degree_invariant_raises(monkeypatch):
-    # a wrong quotient must raise even under python -O, where asserts vanish
-    monkeypatch.setattr(BivariatePolynomial, "divide_by_one_minus_w",
-                        lambda self: BivariatePolynomial({(0, 0): 1}))
-    fd_poly.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="degree"):
-            fd_poly(3)
-    finally:
-        fd_poly.cache_clear()
