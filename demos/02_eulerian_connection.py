@@ -1,9 +1,11 @@
 """The bivariate numerator family F_d and its Eulerian shadow.
 
 The one-cell transfer generating function of a d-fold diamond has a
-polynomial numerator F_d(q0, w) built by an exact recurrence with a division
-by (1 - w) that must leave no remainder.  Setting w = 1 collapses F_d to the
-Eulerian polynomial A_d, which is why the Schmidt-type product can be
+polynomial numerator F_d(q0, w), Carlitz's q-Eulerian polynomial: the sum
+over permutations of d letters of q0^des w^maj.  It is built one q0 power
+at a time by Carlitz's row recurrence, the Eulerian recurrence with
+q-integer weights, so no division is needed.  Setting w = 1 collapses F_d to
+the Eulerian polynomial A_d, which is why the Schmidt-type product can be
 written with Eulerian numerators.
 """
 

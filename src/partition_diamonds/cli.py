@@ -57,10 +57,10 @@ def _emit(payload, fmt: str = "json", header=(), rows=(),
 MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
 
 
-def _check_d(args: SimpleNamespace) -> None:
-    _check_positive(("--d", args.d))
-    if args.d > MAX_CLI_D:
-        raise ValueError(f"--d is capped at {MAX_CLI_D}")
+def _check_d(flag: str, d: int) -> None:
+    _check_positive((flag, d))
+    if d > MAX_CLI_D:
+        raise ValueError(f"{flag} is capped at {MAX_CLI_D}")
 
 
 def _check_positive(*flags) -> None:
@@ -95,7 +95,7 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
 
 
 def cmd_coeffs(args: SimpleNamespace) -> int:
-    _check_d(args)
+    _check_d("--d", args.d)
     _check_n(args.series, "--series", args.n)
     _check_positive(("--N", args.N))
     series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
@@ -179,8 +179,8 @@ IDENTITY_CHECKS = {
 
 def cmd_identities(args: SimpleNamespace) -> int:
     # a check over nothing would pass
-    _check_positive(("--d-max", args.d_max), ("--N", args.N),
-                    ("--instances", args.instances))
+    _check_d("--d-max", args.d_max)
+    _check_positive(("--N", args.N), ("--instances", args.instances))
     names = [args.only] if args.only else IDENTITY_CHECKS
     checks = [IDENTITY_CHECKS[name](args) for name in names]
     passed = all(c["passed"] for c in checks)
@@ -189,7 +189,7 @@ def cmd_identities(args: SimpleNamespace) -> int:
 
 
 def cmd_oracle(args: SimpleNamespace) -> int:
-    _check_d(args)
+    _check_d("--d", args.d)
     _check_n(args.kind, "--kind", args.n)
     _check_positive(("--N", args.N))
     mismatches = []
@@ -246,7 +246,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    _check_d(args)
+    _check_d("--d", args.d)
     # a progression that inspects no coefficient would be reported as zero
     _check_positive(("--N", args.N), ("--M-max", args.M_max),
                     ("--min-support", args.min_support))

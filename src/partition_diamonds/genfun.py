@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .polynomials import eulerian_poly, fd_poly
+from .polynomials import eulerian_poly, fd_terms
 from .series import (RingSpec, TruncatedSeries, ZZ, div_one_minus,
                      euler_product, mul_sparse, product_family)
 
@@ -53,10 +53,9 @@ def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """
     if d < 0 or order < 1:
         raise ValueError("need d >= 0 and order >= 1")
-    fd = fd_poly(d)
 
     def numerator(n: int) -> dict:
-        return fd.specialized_terms((n - 1) * (d + 1) + 1, 1, order)
+        return fd_terms(d, (n - 1) * (d + 1) + 1, 1, order)
 
     return euler_product(numerator, order, ring, eta={1: 1})
 
@@ -134,11 +133,10 @@ def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
     """
     if d < 0 or n < 1 or order < 1:
         raise ValueError("need d >= 0, n >= 1, order >= 1")
-    fd = fd_poly(d)
     acc = [1] + [0] * (order - 1)
     for k in range(n):
         base = k * (d + 1) + 1
-        mul_sparse(acc, fd.specialized_terms(base, 1, order))
+        mul_sparse(acc, fd_terms(d, base, 1, order))
         for t in range(d + 1):
             div_one_minus(acc, base + t)
     div_one_minus(acc, (n + 1) + d * n)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, sub
 
-from .polynomials import fd_poly
+from .polynomials import fd_terms
 from .series import Record, TruncatedSeries, ZZ, div_one_minus, mul_sparse
 
 __all__ = [
@@ -173,7 +173,7 @@ def crude_Dd1_check(d: int, a0_exp: int, a1_exp: int, w_exp: int,
                     coeffs[e] += 1
 
     closed = [1] + [0] * (order - 1)
-    mul_sparse(closed, fd_poly(d).specialized_terms(a0_exp, w_exp, order))
+    mul_sparse(closed, fd_terms(d, a0_exp, w_exp, order))
     for t in range(d + 1):
         div_one_minus(closed, a0_exp + t * w_exp)
     div_one_minus(closed, a0_exp + a1_exp + d * w_exp)

@@ -21,9 +21,11 @@ polynomial in w, obeys the q-analogue of the A(d, k) loop,
     F(d, k) = [k + 1]_w F(d-1, k) + w^k [d - k]_w F(d-1, k-1),
     [m]_w = 1 + w + ... + w^(m-1),
 
-which fd_poly runs, so no division by (1 - w) is needed.  Specializing
-w = 1 collapses F_d to A_d, which is the bridge between diamond counting
-and Eulerian numbers.
+which _fd_rows runs and caches per d, so no division by (1 - w) is needed.
+The rows are the one copy of F_d: fd_terms reads F_d(q^a, q^b) off them,
+row k only while k a is below the order and cut to the w powers that land
+below it, and fd_poly copies them out whole.  Specializing w = 1 collapses
+F_d to A_d, which is the bridge between diamond counting and Eulerian numbers.
 """
 
 from __future__ import annotations
@@ -93,15 +95,6 @@ class BivariatePolynomial:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def specialized_terms(self, q0_exp: int, w_exp: int, order: int) -> dict:
-        """Substitute q0 -> q^q0_exp, w -> q^w_exp: {exponent: coeff} below order."""
-        terms = {}
-        for (i, j), c in self._terms.items():
-            e = q0_exp * i + w_exp * j
-            if e < order:
-                terms[e] = terms.get(e, 0) + c
-        return terms
-
 
 @lru_cache(maxsize=None)
 def eulerian_poly(d: int) -> UnivariatePolynomial:
@@ -139,16 +132,27 @@ def _fd_rows(d: int) -> tuple:
             (0,) * (d - 1) + prev[-1])
 
 
-@lru_cache(maxsize=None)
 def fd_poly(d: int) -> BivariatePolynomial:
-    """The cell-transfer numerator F_d(q0, w); degree max(d-1, 0) in q0.
-
-    Built one row per q0 power by Carlitz's recurrence; the rows of every
-    d' < d stay cached, so a sweep over d builds each row once.
-    """
+    """The numerator F_d(q0, w) whole, from the cached rows; q0-degree max(d-1, 0)."""
     return BivariatePolynomial({(k, j): c
                                 for k, row in enumerate(_fd_rows(d))
                                 for j, c in enumerate(row)})
+
+
+def fd_terms(d: int, a: int, b: int, order: int) -> dict:
+    """F_d(q^a, q^b) below q^order as {exponent: coeff}, for a >= 1, b >= 0."""
+    terms = {}
+    for k, row in enumerate(_fd_rows(d)):
+        base = k * a
+        if base >= order:
+            break                       # so does every later row
+        if b:
+            row = row[:-(-(order - base) // b)]     # base + j b < order
+        for j, c in enumerate(row):
+            if c:
+                e = base + j * b
+                terms[e] = terms.get(e, 0) + c
+    return terms
 
 
 def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
@@ -157,8 +161,7 @@ def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
         raise ValueError("q0 exponent must be >= 1")
     if b < 0:
         raise ValueError("w exponent must be >= 0")
-    return TruncatedSeries.from_terms(
-        fd_poly(d).specialized_terms(a, b, order), order)
+    return TruncatedSeries.from_terms(fd_terms(d, a, b, order), order)
 
 
 def fd_at_w1(d: int) -> UnivariatePolynomial:

@@ -19,10 +19,10 @@ instead, with three in-place primitives: mul_sparse multiplies by a sparse
 polynomial, div_one_minus divides by (1 - q^s) as stride-s prefix sums, and
 div_sparse divides by a sparse polynomial with constant term 1 through the
 recurrence that TruncatedSeries.inverse wraps.  euler_product builds every
-product of genfun: the numerators, one O(N) pass per factor, over a sparse
-eta quotient prod_s (q^s;q^s)^k.  pentagonal_terms and jacobi_cube_terms
-yield (q;q) and (q;q)^3 below q^N, with O(sqrt(N)) terms each, so dividing
-by them costs O(N^1.5).
+product of genfun: the numerators, one O(N) pass per factor other than 1,
+over a sparse eta quotient prod_s (q^s;q^s)^k.  pentagonal_terms and
+jacobi_cube_terms yield (q;q) and (q;q)^3 below q^N, with O(sqrt(N)) terms
+each, so dividing by them costs O(N^1.5).
 
 Every pdiamonds command runs in a fresh interpreter, so import time is part
 of every job.  The value types of the package (RingSpec, TruncatedSeries and
@@ -455,8 +455,9 @@ def euler_product(numerator_at: Callable[[int], Mapping[int, int]] | None,
     None means every numerator is 1.  The contract is product_family's:
     constant term 1 and no q^i term with 0 < i < n, so numerator n never
     changes an index below n, and over Z/mZ the indices >= n are reduced
-    once per factor.  eta maps each stride s >= 1 to its power k: (q^s;q^s)
-    is the pentagonal series scaled by s, each full 3 of k one Jacobi series
+    once per factor that changes them: a numerator equal to 1 is skipped
+    once checked.  eta maps each stride s >= 1 to its power k: (q^s;q^s) is
+    the pentagonal series scaled by s, each full 3 of k one Jacobi series
     instead.  A negative k multiplies, before any division; over Z/mZ every
     coefficient ends in [0, m).
     """
@@ -483,6 +484,8 @@ def euler_product(numerator_at: Callable[[int], Mapping[int, int]] | None,
             if c and e < order:
                 poly[e] = c
         _check_factor(n, poly.get(0, 0), poly)
+        if poly == {0: 1}:
+            continue
         mul_sparse(a, poly)
         if m is not None:
             a[n:] = map(mod, a[n:], repeat(m))

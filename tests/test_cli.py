@@ -477,6 +477,25 @@ def test_d_capped_at_64(capsys):
     assert "capped" in err
 
 
+def test_identities_d_max_capped_at_64_before_any_build(capsys, monkeypatch):
+    def no_build(d):
+        raise AssertionError("an F_d was built")
+
+    monkeypatch.setattr(cli, "fd_at_w1", no_build)
+    # refused whatever --only names, also a check that reads no --d-max
+    for only in ("eulerian", "omega", None):
+        argv = ["identities", "--d-max", "65"]
+        if only:
+            argv += ["--only", only]
+        assert run_cli(capsys, *argv) == \
+            (2, "", "error: --d-max is capped at 64\n")
+    # the cap itself is accepted; A_d stands in for F_d(q0, 1) here
+    monkeypatch.setattr(cli, "fd_at_w1", cli.eulerian_poly)
+    code, out, _ = run_cli(capsys, "identities", "--only", "eulerian",
+                           "--d-max", "64")
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "partition_diamonds", "coeffs", "--series",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partition_diamonds import series
 from partition_diamonds.genfun import (
     ddn_series_closed, mersmann_F_series, rd_series, sd_series,
     sd_series_factorwise,
@@ -68,6 +69,20 @@ def test_sd_mod_ring_matches_reduction():
 
 def test_rd_mod_ring_matches_reduction():
     assert rd_series(2, 40, RingSpec(5)) == reduce_mod(rd_series(2, 40), 5)
+
+
+def test_rd_d1_multiplies_by_no_numerator(monkeypatch):
+    # F_1 = 1, so every numerator of r_1 = 1/(q;q) is 1 and is skipped
+    want = reduce_mod(pentagonal_series(50).inverse(), 5)
+    mul_sparse, calls = series.mul_sparse, []
+
+    def counted(a, poly):
+        calls.append(poly)
+        mul_sparse(a, poly)
+
+    monkeypatch.setattr(series, "mul_sparse", counted)
+    assert rd_series(1, 50, RingSpec(5)) == want
+    assert calls == []
 
 
 def test_ddn_closed_d1_n1():

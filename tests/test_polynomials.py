@@ -15,7 +15,7 @@ import pytest
 
 from partition_diamonds.polynomials import (
     BivariatePolynomial, UnivariatePolynomial, eulerian_poly, fd_at_w1,
-    fd_poly, fd_specialize,
+    fd_poly, fd_specialize, fd_terms,
 )
 
 
@@ -162,6 +162,51 @@ def test_fd_specialize_values():
         fd_specialize(1, 7, 1, 6)  # F_1 = 1 regardless of exponents
     got = fd_specialize(3, 5, 1, 14)
     assert got.nonzero_terms() == [(0, 1), (6, 2), (7, 2), (13, 1)]
+
+
+def specialize_reference(terms, a, b, order):
+    """F_d(q^a, q^b) below q^order from a {(i, j): coeff} dict, term by term."""
+    out = {}
+    for (i, j), c in terms.items():
+        e = a * i + b * j
+        if e < order:
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [*range(13), 32, 64])
+def test_fd_terms_at_row_boundaries(d, b):
+    terms = fd_poly(d).terms
+    for a in (1, 2, 3, d + 1):
+        # orders just below, at and just above k a for each q0 power k; at
+        # large d, whole rows (b = 0) and the widest a stop at k = 4, as
+        # their later orders read F_d nearly whole (43k terms at d = 64)
+        top = max(d, 1) if d <= 12 or (b and a <= 3) else 4
+        orders = {o for k in range(top + 1)
+                  for o in (k * a - 1, k * a, k * a + 1) if o >= 0}
+        # the reference grows by the terms landing below each next order
+        landed = sorted((a * i + b * j, c) for (i, j), c in terms.items())
+        want, pos = {}, 0
+        for order in sorted(orders):
+            while pos < len(landed) and landed[pos][0] < order:
+                e, c = landed[pos]
+                want[e] = want.get(e, 0) + c
+                pos += 1
+            assert fd_terms(d, a, b, order) == want, (a, order)
+
+
+@pytest.mark.parametrize("d, order", [(0, 20), (1, 20), (2, 60), (3, 60),
+                                      (8, 120), (12, 120), (32, 200),
+                                      (64, 200)])
+def test_fd_terms_every_rd_factor(d, order):
+    # with a, b >= 1 the term q0^i w^j lands at or past q^(i + j)
+    near = {(i, j): c for (i, j), c in fd_poly(d).terms.items()
+            if i + j < order}
+    for n in range(1, order):
+        a = (n - 1) * (d + 1) + 1
+        assert fd_terms(d, a, 1, order) == \
+            specialize_reference(near, a, 1, order), n
 
 
 def test_fd_specialize_rejects_bad_exponents():
