@@ -28,8 +28,7 @@ from .oracle import (BudgetError, count_rd_upto, count_sd_upto,
                      series_Ddn_bruteforce)
 from .polynomials import eulerian_poly, fd_at_w1
 from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
-                     pentagonal_series, product_family, reduce_mod,
-                     series_to_json_dict)
+                     pentagonal_series, product_family, series_to_json_dict)
 
 DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
 
@@ -87,9 +86,7 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
     # RingSpec refuses a bad modulus before anything is built
     ring = ZZ if mod is None else RingSpec(mod)
     if kind == "ddn":
-        series = ddn_series_closed(d, n, order)
-        # ddn has no ring argument
-        return series if mod is None else reduce_mod(series, mod)
+        return ddn_series_closed(d, n, order, ring)
     build = rd_series if kind == "rd" else sd_series
     return build(d, order, ring)
 

@@ -7,7 +7,10 @@ A claim is a parametrized family: for every k >= 0 and n >= 0,
 where m is either fixed or 2^d for the power-of-two family.  verify_claim
 checks a claim exhaustively up to (k_max, n_max) by building the s_d series
 in the residue ring and inspecting the arithmetic progression; the first
-non-zero residue short-circuits into a counterexample witness.
+non-zero residue short-circuits into a counterexample witness.  Over Z/mZ
+s_d depends on d only through the table (j+1)^d mod m, so a k whose (m,
+table) repeats an earlier k's is the same series, already passed, and is
+not built again.
 verify_claims runs a list of claims, guarding every one before it builds
 anything.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .genfun import sd_series
+from .genfun import _residue_table, sd_series
 from .oracle import check_budget
 from .series import MODULUS_LIMIT, Record, RingSpec, TruncatedSeries
 
@@ -151,9 +154,14 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
     """Check the claim for k <= k_max, n <= n_max; exact residue arithmetic."""
     _guard_claim(claim, k_max, n_max, budget)
     order = _claim_order(claim, n_max)
+    passed = set()
     for k in range(k_max + 1):
         d = claim.d_at(k)
         m = claim.modulus_at(k)
+        table = (m, _residue_table(d, m, order))
+        if table in passed:
+            continue  # the same series as an earlier k, which passed
+        passed.add(table)
         series = sd_series(d, order, RingSpec(m))
         for n in range(n_max + 1):
             idx = claim.prog_modulus * n + claim.residue

@@ -12,9 +12,9 @@ then one division by Euler's pentagonal series and Jacobi's series, with
 O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q);
 sd_series divides A_d(q^n) numerators by (q;q)^{d+1}, needs none for d = 1
 and 2, and over Z/mZ keeps a periodic numerator over (q^m;q^m) for tables
-that reduce to neither.  ddn_series_closed has finite denominators and
-calls the kernel's primitives directly.  sd_series_factorwise stays on
-product_family as the independent reference.
+that reduce to neither.  ddn_series_closed has finite denominators, calls
+the kernel's primitives directly and reduces over Z/mZ once, at the end.
+sd_series_factorwise stays on product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .polynomials import eulerian_poly, fd_terms
+from .polynomials import _eulerian_row, fd_terms
 from .series import (RingSpec, TruncatedSeries, ZZ, div_one_minus,
                      euler_product, mul_sparse, product_family)
 
@@ -60,6 +60,12 @@ def rd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     return euler_product(numerator, order, ring, eta={1: 1})
 
 
+def _residue_table(d: int, m: int, order: int) -> tuple:
+    """(j+1)^d mod m for j < min(m, order): all of d that s_d over Z/mZ
+    below the order depends on."""
+    return tuple(pow(j + 1, d, m) for j in range(min(m, order)))
+
+
 def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """Series counting Schmidt-type d-fold diamonds by link sum.
 
@@ -79,9 +85,9 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
         raise ValueError("need d >= 0 and order >= 1")
     m = ring.modulus
     if m is not None:
-        powers = [pow(j + 1, d, m) for j in range(min(m, order))]
+        powers = _residue_table(d, m, order)
         for e in (1, 2):
-            if powers == [pow(j + 1, e, m) for j in range(len(powers))]:
+            if powers == _residue_table(e, m, order):
                 d = e
                 break
         else:
@@ -94,7 +100,7 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
         return euler_product(None, order, ring, eta={1: 2})
     if d == 2:
         return euler_product(None, order, ring, eta={1: 4, 2: -1})
-    a_d = eulerian_poly(d).coeffs
+    a_d = _eulerian_row(d, order)       # A(d, k) for k >= order lands past it
 
     def numerator(n: int) -> dict:
         return {i * n: c for i, c in enumerate(a_d)}
@@ -123,16 +129,16 @@ def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSe
     return product_family(factor, order, ring)
 
 
-def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
+def ddn_series_closed(d: int, n: int, order: int,
+                      ring: RingSpec = ZZ) -> TruncatedSeries:
     """Fixed-length diamond series from the transfer product, all nodes -> q.
 
     For cell k the factor is F_d(q^{k(d+1)+1}, q) over the d+1 factors
     (1 - q^{k(d+1)+1+t}), t = 0..d, and the chain closes with
-    1 / (1 - q^{(n+1)+dn}).  d = 0 gives 1/(q; q)_{n+1}, the partitions
-    into at most n + 1 parts.
-    """
-    if d < 0 or n < 1 or order < 1:
-        raise ValueError("need d >= 0, n >= 1, order >= 1")
+    1 / (1 - q^{(n+1)+dn}), the whole series for one link (n = 0).  d = 0
+    gives 1/(q; q)_{n+1}, the partitions into at most n + 1 parts."""
+    if d < 0 or n < 0 or order < 1:
+        raise ValueError("need d >= 0, n >= 0, order >= 1")
     acc = [1] + [0] * (order - 1)
     for k in range(n):
         base = k * (d + 1) + 1
@@ -140,7 +146,7 @@ def ddn_series_closed(d: int, n: int, order: int) -> TruncatedSeries:
         for t in range(d + 1):
             div_one_minus(acc, base + t)
     div_one_minus(acc, (n + 1) + d * n)
-    return TruncatedSeries(ZZ, tuple(acc))
+    return TruncatedSeries(ring, ring.reduced(acc))
 
 
 MersmannResult = namedtuple("MersmannResult", "series theta agree")

@@ -177,12 +177,12 @@ def estimate_rd_enumeration(d: int, n_max: int) -> int:
 def estimate_ddn_enumeration(d: int, n: int, order: int) -> int:
     """Exact number of shape-(d, n) diamonds of weight < order.
 
-    The coefficient sum of ddn_series_closed(d, n, order); with no cells
-    the shape is one link, one diamond per weight.
+    The coefficient sum of ddn_series_closed(d, n, order), or 0 below
+    order 1.
     """
     _check_width(d)
-    if n == 0 or order < 1:
-        return max(order, 0)
+    if order < 1:
+        return 0
     return sum(ddn_series_closed(d, n, order).coeffs)
 
 
@@ -298,7 +298,7 @@ def count_sd_raw(d: int, n: int, budget: int | None = None) -> int:
     diamond at a time.  Independent of the (gap+1)^d shortcut that
     count_sd_upto uses; kept as the raw oracle for cross-checking it.
     Guarded by its chains, then by s_d(n) from the termwise product, which
-    needs no A_d (O(d^2) to build) at the small n the chain guard admits.
+    builds no A_d at all at the small n the chain guard admits.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
@@ -332,9 +332,10 @@ def series_Ddn_bruteforce(d: int, n: int, order: int,
 
     The shape is fixed, so there is no support quotient: a diamond whose
     link drops to 0 before cell n still has its n cells, all forced to 0.
+    With n = 0 the shape is one link, one diamond of each weight.
     """
-    if n < 1 or order < 1:
-        raise ValueError("need n >= 1 and order >= 1")
+    if n < 0 or order < 1:
+        raise ValueError("need n >= 0 and order >= 1")
     check_budget(budget, lambda: estimate_ddn_enumeration(d, n, order),
                  f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
     return TruncatedSeries.from_coeffs(_walk_chains(d, n, 0, order - 1))
@@ -350,8 +351,8 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
     """
     if rho < 0:
         raise ValueError("shift must be >= 0")
-    if n < 1 or order < 1:
-        raise ValueError("need n >= 1 and order >= 1")
+    if n < 0 or order < 1:
+        raise ValueError("need n >= 0 and order >= 1")
     # the all-rho diamond is the lightest; reuse the unshifted estimator
     base = rho * ((n + 1) + d * n)
     check_budget(budget,

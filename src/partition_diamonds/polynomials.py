@@ -7,6 +7,8 @@ letters with k descents, obey
     A(0, 0) = 1,   A(d, k) = (k + 1) A(d-1, k) + (d - k) A(d-1, k-1),
 
 the coefficient form of A_d = (1 + (d-1) q) A_{d-1} + q (1 - q) A'_{d-1}.
+Column k reads only columns k and k - 1, so the loop run on its first c
+columns gives them exactly; sd_series takes A_d that way, below its order.
 
 F_d is the numerator of the one-cell transfer generating function for
 d-fold partition diamonds.  The paper defines it by
@@ -21,11 +23,12 @@ polynomial in w, obeys the q-analogue of the A(d, k) loop,
     F(d, k) = [k + 1]_w F(d-1, k) + w^k [d - k]_w F(d-1, k-1),
     [m]_w = 1 + w + ... + w^(m-1),
 
-which _fd_rows runs and caches per d, so no division by (1 - w) is needed.
-The rows are the one copy of F_d: fd_terms reads F_d(q^a, q^b) off them,
-row k only while k a is below the order and cut to the w powers that land
-below it, and fd_poly copies them out whole.  Specializing w = 1 collapses
-F_d to A_d, which is the bridge between diamond counting and Eulerian numbers.
+which _fd_rows runs, caching the last two levels, so no division by
+(1 - w) is needed.  The rows are the one copy of F_d: fd_terms reads
+F_d(q^a, q^b) off them, row k only while k a is below the order and cut
+to the w powers that land below it, and fd_poly copies them out whole.
+Specializing w = 1 collapses F_d to A_d, which is the bridge between
+diamond counting and Eulerian numbers.
 """
 
 from __future__ import annotations
@@ -96,16 +99,21 @@ class BivariatePolynomial:
         return hash(frozenset(self._terms.items()))
 
 
+def _eulerian_row(d: int, cap: int) -> list:
+    """A(d, k) for k < cap: the A(d, k) loop run on its first cap columns."""
+    row = [1]                                                  # A_0 = A_1 = 1
+    for n in range(2, d + 1):
+        row = [(k + 1) * a + (n - k) * b
+               for k, a, b in zip(range(cap), row + [0], [0] + row)]
+    return row
+
+
 @lru_cache(maxsize=None)
 def eulerian_poly(d: int) -> UnivariatePolynomial:
     """The d-th Eulerian polynomial; degree d-1 for d >= 1, coefficients sum to d!."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    row = [1]                                                  # A_0 = A_1 = 1
-    for n in range(2, d + 1):
-        row = [(k + 1) * a + (n - k) * b
-               for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
-    return UnivariatePolynomial(tuple(row))
+    return UnivariatePolynomial(tuple(_eulerian_row(d, d + 1)))
 
 
 def _times_q_int(row, m: int) -> list:
@@ -114,9 +122,14 @@ def _times_q_int(row, m: int) -> list:
     return list(map(sub, sums, chain(repeat(0, m), sums)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _fd_rows(d: int) -> tuple:
-    """The rows F(d, k), k = 0..max(d-1, 0), as tuples of w-coefficients."""
+    """The rows F(d, k), k = 0..max(d-1, 0), as tuples of w-coefficients.
+
+    The cache keeps the level asked for and the one below it, which the
+    next level up reads, so an ascending sweep still builds each level once
+    and F_64 does not leave all 64 levels behind.
+    """
     if d < 0:
         raise ValueError("d must be >= 0")
     if d <= 1:

@@ -99,6 +99,30 @@ def test_coeffs_bad_mod_exits_2_before_building(capsys, monkeypatch, series,
     assert (code, out, err) == (2, "", message + "\n")
 
 
+# stdout digests of coeffs --series ddn --mod, recorded while the CLI still
+# built the exact series and reduced it with reduce_mod afterwards
+DDN_MOD_DIGESTS = {
+    "--d 3 --n 4 --N 300 --mod 7":
+        "1b10d50caf8891d89cecdbba1480509d2f9ac2350025fd5506f9d0522b563959",
+    "--d 3 --n 4 --N 300 --mod 18446744073709551557":
+        "ebf5f908913732519d3337af2e47c791d9db3f75311425422d3cfa1eac15083d",
+    "--d 1 --n 2 --N 60 --mod 2 --format csv":
+        "0e6a4a75a3194e59144611a523d4f15904f82842634eaabed00b1cf43ced7614",
+    "--d 4 --n 1 --N 200 --mod 12 --format plain":
+        "93ad1d600cce48de16c4f829af83df60b926dd1ebe4d7894825bad37837e564d",
+    "--d 8 --n 3 --N 150 --mod 4611686018427387904":
+        "7f0b3286a8463b68ecc02e9b4be67da4f1704ffcca35fcbe6e1ab7dc7f9e9e3a",
+}
+
+
+@pytest.mark.parametrize("flags", DDN_MOD_DIGESTS)
+def test_coeffs_ddn_mod_matches_reduced_exact_digest(capsys, flags):
+    code, out, _ = run_cli(capsys, "coeffs", "--series", "ddn",
+                           *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DDN_MOD_DIGESTS[flags]
+
+
 def test_coeffs_csv_quotes_values(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--series", "sd", "--d", "4",
                            "--N", "30", "--format", "csv")
@@ -384,6 +408,20 @@ def test_verify_all_refuses_before_any_build(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("budget error: claim mod11: estimated 1747684 ")
+
+
+def test_verify_all_builds_each_residue_table_once(capsys, monkeypatch):
+    # 51 (claim, k) members at the defaults, 19 distinct (m, table) pairs
+    builds = []
+
+    def counted(d, order, ring):
+        builds.append((d, ring.modulus))
+        return sd_series(d, order, ring)
+
+    monkeypatch.setattr(congruences, "sd_series", counted)
+    code, _, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0
+    assert len(builds) == 19
 
 
 @pytest.mark.parametrize("k_max, d", [("63", 64),

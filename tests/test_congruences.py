@@ -232,3 +232,57 @@ def test_verify_claims_guards_every_claim_before_any_build(monkeypatch):
         verify_claims(claims, k_max=0, n_max=10, budget=100_000)
     with pytest.raises(ValueError, match="bounds must be >= 0"):
         verify_claims(claims, k_max=-1, n_max=10)
+
+
+def counted_builds(monkeypatch):
+    """Record the (d, modulus) of every sd_series build verify_claim makes."""
+    calls = []
+
+    def counted(d, order, ring):
+        calls.append((d, ring.modulus))
+        return sd_series(d, order, ring)
+
+    monkeypatch.setattr(congruences, "sd_series", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label, builds", [
+    ("mod5_4k1_r2", [(1, 5)]),                    # d = 1, 5, 9: one table
+    ("mod2pow", [(1, 2), (2, 4), (3, 8)]),         # m changes with k
+])
+def test_verify_builds_each_residue_table_once(monkeypatch, label, builds):
+    calls = counted_builds(monkeypatch)
+    report = verify_claim(claim_by_label(label), k_max=2, n_max=20)
+    assert report.status == "verified_up_to_bounds"
+    assert calls == builds
+
+
+def every_k_report(claim, k_max, n_max):
+    """verify_claim's result with a series built for every k, no sharing."""
+    order = claim.prog_modulus * n_max + claim.residue + 1
+    for k in range(k_max + 1):
+        d = claim.d_at(k)
+        coeffs = sd_series(d, order, RingSpec(claim.modulus_at(k))).coeffs
+        for idx in range(claim.residue, order, claim.prog_modulus):
+            if coeffs[idx]:
+                return ClaimReport(claim, k_max, n_max, "counterexample",
+                                   congruences.Witness(d, idx, coeffs[idx]))
+    return ClaimReport(claim, k_max, n_max, "verified_up_to_bounds")
+
+
+@pytest.mark.parametrize("claim", builtin_claims() + (
+    CongruenceClaim(1, 1, 5, 4, modulus=5, label="false_1k1"),
+    CongruenceClaim(2, 1, 5, 3, modulus=5, label="false_2k1"),
+), ids=lambda claim: claim.label)
+def test_skipped_tables_change_no_report(claim):
+    assert verify_claim(claim, k_max=4, n_max=6) == \
+        every_k_report(claim, 4, 6)
+
+
+def test_false_claim_keeps_its_witness(monkeypatch):
+    # d = 5 repeats d = 1's table and is skipped; the witness is d = 2's
+    calls = counted_builds(monkeypatch)
+    claim = CongruenceClaim(1, 1, 5, 4, modulus=5)
+    report = verify_claim(claim, k_max=4, n_max=20)
+    assert report.witness == (2, 9, 3)
+    assert calls == [(1, 5), (2, 5)]

@@ -1,10 +1,12 @@
 """Closed-form generating functions against the enumeration oracle."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partition_diamonds import series
+from partition_diamonds import polynomials, series
 from partition_diamonds.genfun import (
     ddn_series_closed, mersmann_F_series, rd_series, sd_series,
     sd_series_factorwise,
@@ -95,7 +97,7 @@ def test_ddn_closed_constant_terms():
 
 
 @pytest.mark.parametrize("d,n", [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1),
-                                 (2, 2), (3, 1)])
+                                 (2, 2), (3, 1), (0, 0), (1, 0), (4, 0)])
 def test_ddn_closed_matches_bruteforce(d, n):
     order = 12
     assert ddn_series_closed(d, n, order) == \
@@ -149,3 +151,48 @@ def test_mersmann_identity():
     assert result.series.coeffs[1] == -2
     small = mersmann_F_series(4)
     assert small.agree
+
+
+# -- ddn over Z/mZ -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 6), n=st.integers(0, 6), order=st.integers(1, 120),
+       m=st.one_of(st.integers(2, 12),
+                   st.sampled_from([1 << 62, (1 << 64) - 59])))
+@example(d=0, n=0, order=1, m=2)
+@example(d=6, n=6, order=120, m=(1 << 64) - 59)
+def test_ddn_ring_equals_reduced_exact_build(d, n, order, m):
+    assert ddn_series_closed(d, n, order, RingSpec(m)) == \
+        reduce_mod(ddn_series_closed(d, n, order), m)
+
+
+# -- s_d over Z reads only the Eulerian columns below the order ----------
+
+@pytest.mark.parametrize("d", range(65))
+def test_sd_series_matches_factorwise_up_to_order_40(d):
+    # A_d has d columns, so the cap cuts it below order d and not above
+    orders = {1, 2, 40} | {o for o in (d - 1, d, d + 1) if 1 <= o <= 40}
+    for order in sorted(orders):
+        assert sd_series(d, order) == sd_series_factorwise(d, order), order
+
+
+def test_sd_series_holds_only_the_eulerian_columns_below_the_order():
+    widths, code, outer = [], polynomials._eulerian_row.__code__, \
+        sys.gettrace()
+
+    def watch_row(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            widths.append(len(frame.f_locals.get("row", ())))
+            return line
+        return line
+
+    sys.settrace(watch_row)
+    try:
+        series = sd_series(2000, 3)
+    finally:
+        sys.settrace(outer)
+    assert series == sd_series_factorwise(2000, 3)
+    assert len(widths) > 2000 and max(widths) == 3

@@ -166,6 +166,21 @@ def test_shift_identity(d, n, rho, order):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("d", range(4))
+def test_no_cells_is_one_link(d):
+    # shape (d, 0) is a single link a_0 >= rho: one diamond of each weight
+    assert series_Ddn_bruteforce(d, 0, 20).coeffs == (1,) * 20
+    for rho in (0, 1, 3):
+        assert series_Ddn_shifted(d, 0, rho, 20).coeffs == \
+            (0,) * rho + (1,) * (20 - rho)
+    assert estimate_ddn_enumeration(d, 0, 20) == 20
+    assert estimate_ddn_enumeration(d, 0, 0) == 0
+    for call in (lambda: series_Ddn_bruteforce(d, -1, 20),
+                 lambda: series_Ddn_shifted(d, -1, 1, 20)):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            call()
+
+
 def test_estimators_match_enumerated_totals():
     assert estimate_rd_enumeration(2, 10) == sum(count_rd_upto(2, 10))
     est = estimate_ddn_enumeration(2, 2, 9)

@@ -14,8 +14,8 @@ import math
 import pytest
 
 from partition_diamonds.polynomials import (
-    BivariatePolynomial, UnivariatePolynomial, eulerian_poly, fd_at_w1,
-    fd_poly, fd_specialize, fd_terms,
+    BivariatePolynomial, UnivariatePolynomial, _eulerian_row, _fd_rows,
+    eulerian_poly, fd_at_w1, fd_poly, fd_specialize, fd_terms,
 )
 
 
@@ -228,3 +228,22 @@ def test_univariate_basics():
     assert p.coeffs == (1, 2) and p.degree == 1
     zero = UnivariatePolynomial.from_coeffs([0, 0])
     assert zero.coeffs == () and zero.degree == -1
+
+
+@pytest.mark.parametrize("d", range(0, 25))
+def test_capped_eulerian_row_is_a_prefix(d):
+    full = eulerian_poly(d).coeffs
+    for cap in range(1, d + 3):
+        assert tuple(_eulerian_row(d, cap)) == full[:cap]
+
+
+def test_fd_row_cache_keeps_two_levels():
+    fd_poly(64)
+    assert _fd_rows.cache_info().currsize <= 2
+
+
+def test_ascending_fd_sweep_builds_each_level_once():
+    _fd_rows.cache_clear()
+    for d in range(1, 21):
+        fd_at_w1(d)
+    assert _fd_rows.cache_info().misses == 20
