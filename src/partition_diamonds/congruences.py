@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .genfun import _residue_table, sd_series
+from .genfun import _residue_table, sd_series, sd_series_factorwise
 from .oracle import check_budget
 from .series import MODULUS_LIMIT, Record, RingSpec, TruncatedSeries
 
@@ -208,6 +208,10 @@ def euler_phi(m: int) -> int:
 def internal_congruence_check(r: int, k: int, m: int, order: int) -> bool:
     """Does s_{phi(m) k + r} agree with s_r mod m below the given order?
 
+    The d side is built by sd_series_factorwise from exact powers, the r
+    side by sd_series: over Z/mZ sd_series reads d only through its residue
+    table, which the congruence makes equal, so it would match itself.
+
     The identity behind it, x^{phi(m) k + r} == x^r (mod m) for every x,
     needs r to be at least the largest prime exponent of m (x = 2, m = 4,
     r = 1 breaks it).  Below that a False would not be a counterexample to
@@ -223,7 +227,7 @@ def internal_congruence_check(r: int, k: int, m: int, order: int) -> bool:
         )
     ring = RingSpec(m)
     d = euler_phi(m) * k + r
-    return sd_series(d, order, ring) == sd_series(r, order, ring)
+    return sd_series_factorwise(d, order, ring) == sd_series(r, order, ring)
 
 
 def scan_progressions(series: TruncatedSeries, m_max: int,

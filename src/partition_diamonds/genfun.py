@@ -12,8 +12,9 @@ then one division by Euler's pentagonal series and Jacobi's series, with
 O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q);
 sd_series divides A_d(q^n) numerators by (q;q)^{d+1}, needs none for d = 1
 and 2, and over Z/mZ keeps a periodic numerator over (q^m;q^m) for tables
-that reduce to neither.  ddn_series_closed has finite denominators, calls
-the kernel's primitives directly and reduces over Z/mZ once, at the end.
+that reduce to neither.  ddn_series_closed, Stanley's P-partition form on
+n(d+1)+1 nodes, puts the n link numerators of rd_series over (q;q)_{n(d+1)+1}
+with one division per node over Z, and reduces over Z/mZ once, at the end.
 sd_series_factorwise stays on product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
@@ -131,21 +132,18 @@ def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSe
 
 def ddn_series_closed(d: int, n: int, order: int,
                       ring: RingSpec = ZZ) -> TruncatedSeries:
-    """Fixed-length diamond series from the transfer product, all nodes -> q.
+    """Fixed-length diamond series, all nodes -> q.
 
-    For cell k the factor is F_d(q^{k(d+1)+1}, q) over the d+1 factors
-    (1 - q^{k(d+1)+1+t}), t = 0..d, and the chain closes with
-    1 / (1 - q^{(n+1)+dn}), the whole series for one link (n = 0).  d = 0
-    gives 1/(q; q)_{n+1}, the partitions into at most n + 1 parts."""
+    prod_{k<n} F_d(q^{k(d+1)+1}, q) / (q; q)_{n(d+1)+1}, one factor (1 - q^s)
+    for each of the n(d+1)+1 nodes s.  d = 0 gives 1/(q; q)_{n+1}, the
+    partitions into at most n + 1 parts."""
     if d < 0 or n < 0 or order < 1:
         raise ValueError("need d >= 0, n >= 0, order >= 1")
     acc = [1] + [0] * (order - 1)
     for k in range(n):
-        base = k * (d + 1) + 1
-        mul_sparse(acc, fd_terms(d, base, 1, order))
-        for t in range(d + 1):
-            div_one_minus(acc, base + t)
-    div_one_minus(acc, (n + 1) + d * n)
+        mul_sparse(acc, fd_terms(d, k * (d + 1) + 1, 1, order))
+    for s in range(1, n * (d + 1) + 2):
+        div_one_minus(acc, s)
     return TruncatedSeries(ring, ring.reduced(acc))
 
 

@@ -8,8 +8,8 @@ finite weight has finite support, and we identify unbounded-length diamonds
 with their support: trailing all-zero cells are quotiented away.
 
 Everything here enumerates explicitly.  One link-chain walk serves
-count_rd_upto (free length), series_Ddn_bruteforce (n cells) and
-series_Ddn_shifted (n cells, every node >= rho).  It visits every weakly
+count_rd_upto (free length) and series_Ddn_shifted (n cells, every node >=
+rho), which at rho = 0 is series_Ddn_bruteforce.  It visits every weakly
 decreasing chain of links once, from an explicit stack, and carries the
 counts by weight of the diamond prefixes on that chain: closing a cell adds
 its d fans one at a time, each a window sum over the values in [a_k,
@@ -332,13 +332,10 @@ def series_Ddn_bruteforce(d: int, n: int, order: int,
 
     The shape is fixed, so there is no support quotient: a diamond whose
     link drops to 0 before cell n still has its n cells, all forced to 0.
-    With n = 0 the shape is one link, one diamond of each weight.
+    With n = 0 the shape is one link, one diamond of each weight.  Guard
+    and walk are series_Ddn_shifted's, at rho = 0.
     """
-    if n < 0 or order < 1:
-        raise ValueError("need n >= 0 and order >= 1")
-    check_budget(budget, lambda: estimate_ddn_enumeration(d, n, order),
-                 f"series_Ddn_bruteforce(d={d}, n={n}, order={order})")
-    return TruncatedSeries.from_coeffs(_walk_chains(d, n, 0, order - 1))
+    return series_Ddn_shifted(d, n, 0, order, budget)
 
 
 def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
@@ -355,7 +352,7 @@ def series_Ddn_shifted(d: int, n: int, rho: int, order: int,
         raise ValueError("need n >= 0 and order >= 1")
     # the all-rho diamond is the lightest; reuse the unshifted estimator
     base = rho * ((n + 1) + d * n)
-    check_budget(budget,
-                 lambda: estimate_ddn_enumeration(d, n, order - base),
-                 f"series_Ddn_shifted(d={d}, n={n}, rho={rho})")
+    what = f"series_Ddn_shifted(d={d}, n={n}, rho={rho}, order={order})"
+    check_budget(budget, lambda: estimate_ddn_enumeration(d, n, order - base),
+                 what)
     return TruncatedSeries.from_coeffs(_walk_chains(d, n, rho, order - 1))

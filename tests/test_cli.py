@@ -769,32 +769,34 @@ FLAG_NAMES = ("--series", "--d", "--n", "--N", "--mod", "--format", "--only",
               "--M-max", "--min-support")
 
 
-def draw_value(rnd, kind, choices):
+def draw_value(rnd, kind, choices, top):
     if choices:
         return rnd.choice(list(choices) if rnd.random() < 0.6 else WORDS)
     if kind is int:
         good = rnd.random() < 0.8
-        return str(rnd.randint(-3, 70)) if good else rnd.choice(INT_EDGES)
+        return str(rnd.randint(-3, top)) if good else rnd.choice(INT_EDGES)
     return rnd.choice(CLAIMS)
 
 
-def draw_flag(rnd, flag, spec):
+def draw_flag(rnd, flag, spec, top):
     """One occurrence of `flag`: its full name or a prefix of three or more
-    characters, with the value in the next token, after "=", or missing."""
+    characters, with the value in the next token, after "=", or missing.
+    A well-formed int value lies in -3..top."""
     kind, _, choices, _ = spec
     name = flag[:rnd.randint(3, len(flag))] if rnd.random() < 0.3 else flag
     if kind is bool:
         if rnd.random() < 0.9:
             return [name]
         return [name + "=" + rnd.choice(("", "x", "1"))]
-    value, form = draw_value(rnd, kind, choices), rnd.random()
+    value, form = draw_value(rnd, kind, choices, top), rnd.random()
     if form < 0.2:
         return [f"{name}={value}"]
     return [name] if form < 0.25 else [name, value]
 
 
-def draw_argv(rnd):
-    """A pdiamonds argv, mostly valid, drawn from cli.COMMANDS."""
+def draw_argv(rnd, top=70):
+    """A pdiamonds argv, mostly valid, drawn from cli.COMMANDS, with int
+    values mostly in -3..top."""
     command = rnd.choice(list(cli.COMMANDS))
     flags = cli.COMMANDS[command][2]
     group = [f for f in cli.ONE_OF if f in flags]
@@ -804,7 +806,7 @@ def draw_argv(rnd):
         picked += rnd.sample(group, rnd.choice((1, 1, 1, 1, 1, 0, 2, 3)))
     if picked and rnd.random() < 0.15:
         picked.append(rnd.choice(picked))  # a repeated flag
-    units = [draw_flag(rnd, f, flags[f]) for f in picked]
+    units = [draw_flag(rnd, f, flags[f], top) for f in picked]
     for _ in range(rnd.choice((0, 0, 0, 0, 1, 2))):
         units.append([rnd.choice(STRAYS)])
     if rnd.random() < 0.15:  # a flag this command may not take
@@ -825,6 +827,29 @@ def draw_argv(rnd):
 @given(st.randoms(use_true_random=False))
 def test_parse_args_accepts_exactly_what_argparse_accepts(rnd):
     assert_parses_like_argparse(draw_argv(rnd))
+
+
+def run_main(argv):
+    """(exit code, stdout) of one in-process cli.main call; any exception
+    other than SystemExit propagates."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_random_argv_keeps_the_exit_and_stdout_contract(rnd):
+    # small values, so that what parses also runs in milliseconds
+    argv = draw_argv(rnd, top=12)
+    code, out = run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert run_main(argv) == (code, out), argv
 
 
 # The required flags of each command, with valid values

@@ -136,6 +136,20 @@ def test_internal_congruence_examples():
     assert internal_congruence_check(1, 0, 7, 50)    # k=0: same function
 
 
+def test_internal_congruence_builds_the_d_side_without_the_table(
+        monkeypatch):
+    # a table-driven sd_series that ignored d would make both sides equal;
+    # the d side must come from the exact powers instead
+    def s1_for_every_d(d, order, ring):
+        return sd_series(1, order, ring)
+
+    monkeypatch.setattr(congruences, "sd_series", s1_for_every_d)
+    assert not internal_congruence_check(2, 1, 5, 100)   # s_6 vs s_1 mod 5
+    monkeypatch.undo()
+    monkeypatch.setattr(congruences, "sd_series_factorwise", s1_for_every_d)
+    assert not internal_congruence_check(2, 1, 5, 100)   # s_1 vs s_2 mod 5
+
+
 @pytest.mark.parametrize("m", (4, 9, 12))
 def test_internal_congruence_outside_domain_raises(m):
     # r = 1 is below the exponent 2 in 4, 9 and 12 = 2^2 * 3

@@ -166,6 +166,23 @@ def test_ddn_ring_equals_reduced_exact_build(d, n, order, m):
         reduce_mod(ddn_series_closed(d, n, order), m)
 
 
+# -- enough cells: ddn is rd ---------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 6), order=st.integers(1, 80), extra=st.integers(0, 3),
+       m=st.integers(2, 12))
+@example(d=0, order=1, extra=0, m=2)
+@example(d=6, order=80, extra=0, m=7)
+@example(d=1, order=80, extra=0, m=12)
+def test_ddn_with_enough_cells_is_rd(d, order, extra, m):
+    # below the order a diamond has at most (order - 1) // (d + 1) nonzero
+    # cells, so the per-node finite division meets rd's pentagonal one
+    n = (order - 1) // (d + 1) + 1 + extra
+    assert ddn_series_closed(d, n, order) == rd_series(d, order)
+    assert ddn_series_closed(d, n, order, RingSpec(m)) == \
+        rd_series(d, order, RingSpec(m))
+
+
 # -- s_d over Z reads only the Eulerian columns below the order ----------
 
 @pytest.mark.parametrize("d", range(65))

@@ -302,6 +302,17 @@ def test_estimates_match_cell_recursion(d, n_max, n, order):
     assert estimate_ddn_enumeration(d, n, order) == ddn(n, order)
 
 
+def test_ddn_refusal_names_d_n_and_order(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a refused job walked its chains")
+
+    monkeypatch.setattr(oracle, "_walk_chains", no_walk)
+    with pytest.raises(BudgetError, match=r"d=3, n=40, .*order=1600\)"):
+        series_Ddn_bruteforce(3, 40, 1600)
+    with pytest.raises(BudgetError, match=r"d=2, n=2, .*order=30\)"):
+        series_Ddn_bruteforce(2, 2, 30, budget=5)
+
+
 def test_large_refusal_needs_no_recursion():
     # a cell-by-cell recursion exceeds Python's recursion limit here
     with pytest.raises(BudgetError, match="count_rd"):
