@@ -10,9 +10,8 @@ written with Eulerian numerators.
 """
 
 from partition_diamonds import (
-    eulerian_poly, fd_at_w1, fd_poly, fd_specialize,
+    TruncatedSeries, eulerian_poly, fd_at_w1, fd_poly, fd_specialize,
 )
-from partition_diamonds.series import TruncatedSeries
 
 
 def show_bivariate(d):

@@ -8,10 +8,10 @@ substitutions and compare.
 """
 
 from partition_diamonds import (
-    OmegaInstance, crude_Dd1_check, omega_bruteforce, omega_closed_form,
-    run_omega_suite, series_Ddn_bruteforce, series_Ddn_shifted,
+    OmegaInstance, TruncatedSeries, crude_Dd1_check, omega_bruteforce,
+    omega_closed_form, run_omega_suite, series_Ddn_bruteforce,
+    series_Ddn_shifted,
 )
-from partition_diamonds.series import TruncatedSeries
 
 inst = OmegaInstance(j=0, d=1, x_exponents=(1,), y_exponent=2)
 bf = omega_bruteforce(inst, 12)

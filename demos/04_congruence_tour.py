@@ -7,11 +7,9 @@ the coefficients alone.
 """
 
 from partition_diamonds import (
-    builtin_claims, count_sd, euler_phi, internal_congruence_check,
-    scan_progressions, sd_series, verify_claim,
+    RingSpec, builtin_claims, count_sd, euler_phi, internal_congruence_check,
+    report_to_json_dict, scan_progressions, sd_series, verify_claim,
 )
-from partition_diamonds.congruences import report_to_json_dict
-from partition_diamonds.series import RingSpec
 
 print("odd-index values of s_3 are divisible by 2^3 = 8:")
 vals = [count_sd(3, n) for n in range(1, 14, 2)]

@@ -11,8 +11,6 @@ COMMANDS holds every flag and default; parse_args reads argv from it as
 argparse did, without importing argparse.
 """
 
-from __future__ import annotations
-
 import os
 import re
 import sys

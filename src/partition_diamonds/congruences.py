@@ -21,8 +21,6 @@ than a bug.  scan_progressions is the discovery companion: it searches a
 reduced series for arithmetic progressions of zero coefficients.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .genfun import _residue_table, sd_series, sd_series_factorwise

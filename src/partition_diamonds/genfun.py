@@ -27,8 +27,6 @@ agree; downstream congruence arguments lean on the theta form only after
 this check passes.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .polynomials import _eulerian_row, fd_terms
@@ -136,13 +134,15 @@ def ddn_series_closed(d: int, n: int, order: int,
 
     prod_{k<n} F_d(q^{k(d+1)+1}, q) / (q; q)_{n(d+1)+1}, one factor (1 - q^s)
     for each of the n(d+1)+1 nodes s.  d = 0 gives 1/(q; q)_{n+1}, the
-    partitions into at most n + 1 parts."""
+    partitions into at most n + 1 parts.  A numerator with k(d+1)+1 >= order
+    and a factor with s >= order are 1 below the order, so the work stops
+    growing with n once n(d+1) reaches the order."""
     if d < 0 or n < 0 or order < 1:
         raise ValueError("need d >= 0, n >= 0, order >= 1")
     acc = [1] + [0] * (order - 1)
-    for k in range(n):
+    for k in range(min(n, -(-(order - 1) // (d + 1)))):
         mul_sparse(acc, fd_terms(d, k * (d + 1) + 1, 1, order))
-    for s in range(1, n * (d + 1) + 2):
+    for s in range(1, min(n * (d + 1) + 2, order)):
         div_one_minus(acc, s)
     return TruncatedSeries(ring, ring.reduced(acc))
 

@@ -26,9 +26,6 @@ direct enumeration of the node values against the closed form with the
 F_d numerator.
 """
 
-from __future__ import annotations
-
-import random
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
@@ -187,7 +184,9 @@ def crude_Dd1_check(d: int, a0_exp: int, a1_exp: int, w_exp: int,
 
 def random_instances(count: int, seed: int) -> Iterable[OmegaInstance]:
     """Deterministic stream of random instances for the given seed, with
-    -1 <= j <= 4, 1 <= d <= 4 and every exponent in 1..5."""
+    -1 <= j <= 4, 1 <= d <= 4 and every exponent in 1..5.  random is
+    imported on the first draw, so only the Omega suite loads it."""
+    import random
     rng = random.Random(seed)
     for _ in range(count):
         d = rng.randint(1, 4)

@@ -37,8 +37,6 @@ decide whether an enumeration is affordable, never what it returns, so a
 wrong one can move the budget line but not make an enumeration agree.
 """
 
-from __future__ import annotations
-
 import os
 from itertools import accumulate, product
 from operator import add, sub

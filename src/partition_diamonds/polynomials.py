@@ -31,8 +31,6 @@ Specializing w = 1 collapses F_d to A_d, which is the bridge between
 diamond counting and Eulerian numbers.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, sub

@@ -16,9 +16,10 @@ pass (RingSpec.reduced).
 
 The closed forms in genfun and omega run on a plain coefficient list
 instead, with three in-place primitives: mul_sparse multiplies by a sparse
-polynomial, div_one_minus divides by (1 - q^s) as stride-s prefix sums, and
-div_sparse divides by a sparse polynomial with constant term 1 through the
-recurrence that TruncatedSeries.inverse wraps.  euler_product builds every
+polynomial and scales once per distinct coefficient, div_one_minus divides
+by (1 - q^s) as stride-s prefix sums, and div_sparse divides by a sparse
+polynomial with constant term 1 through the recurrence that
+TruncatedSeries.inverse wraps.  euler_product builds every
 product of genfun: the numerators, one O(N) pass per factor other than 1,
 over a sparse eta quotient prod_s (q^s;q^s)^k.  pentagonal_terms and
 jacobi_cube_terms yield (q;q) and (q;q)^3 below q^N, with O(sqrt(N)) terms
@@ -32,10 +33,10 @@ are collections.namedtuple types.  Importing dataclasses also loads inspect,
 ast, dis and tokenize, and @dataclass compiles the methods of each class
 with exec at import; together they made up most of the package's import
 time.  typing is left out for the same reason: annotations take their names
-from collections.abc.
+from collections.abc.  No module imports __future__ either: on Python >= 3.10
+every annotation in the package evaluates where it is defined.  Within the
+package only omega.random_instances imports random, when it first draws.
 """
-
-from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate, compress, repeat
@@ -363,21 +364,33 @@ def mul_sparse(a: list, poly: Mapping[int, int]) -> None:
 
     Every shifted term reads one snapshot of a, so the terms may come in any
     order, and a[i] only changes for i at or above the lowest non-constant
-    exponent.  Exponents at or beyond len(a) are dropped.
+    exponent.  The terms that share a coefficient c share one copy of the
+    snapshot scaled by c, sized for the lowest of their exponents (the
+    snapshot itself for c = 1), since F_d and A_d repeat coefficients; a
+    coefficient used once is scaled on the fly.  Exponents at or beyond
+    len(a) are dropped.
     """
     if poly.get(0) != 1:
         raise ValueError(f"constant term must be 1, got {poly.get(0, 0)}")
     n = len(a)
-    shifts = [(e, c) for e, c in poly.items() if e and e < n and c]
+    shifts = {}
+    for e, c in poly.items():
+        if e and e < n and c:
+            shifts.setdefault(c, []).append(e)
     if not shifts:
         return
-    low = min(e for e, _ in shifts)
+    low = min(map(min, shifts.values()))
     if low < 0:
         raise ValueError(f"negative exponent {low}")
     snap = a[:n - low]
-    for e, c in shifts:
-        a[e:] = map(add, a[e:],
-                    snap if c == 1 else map(mul, snap, repeat(c, n - e)))
+    for c, exponents in shifts.items():
+        row = snap
+        if c != 1:
+            row = map(mul, snap, repeat(c, n - min(exponents)))
+            if len(exponents) > 1:
+                row = list(row)     # scaled once, read once per exponent
+        for e in exponents:
+            a[e:] = map(add, a[e:], row)
 
 
 def div_one_minus(a: list, s: int) -> None:

@@ -583,11 +583,13 @@ def test_cli_import_leaves_out_dataclasses_and_csv():
     # a fresh interpreter, since pytest itself has imported dataclasses; -S
     # keeps a site-packages .pth file from preloading any watched module,
     # so the package is found through PYTHONPATH alone.  No job loads
-    # argparse or the gettext and locale modules that argparse imports.
+    # argparse or the gettext and locale modules that argparse imports, and
+    # only the Omega suite loads random.
     probe = (
         "import sys\n"
-        "watched = {'argparse', 'csv', 'dataclasses', 'gettext', 'locale',\n"
-        "           'typing'} - set(sys.modules)\n"
+        "watched = {'__future__', 'argparse', 'csv', 'dataclasses',\n"
+        "           'gettext', 'locale', 'random', 'typing'}\n"
+        "watched -= set(sys.modules)\n"
         "from partition_diamonds import cli\n"
         "added = sorted(watched & set(sys.modules))\n"
         "cli.main(['coeffs', '--series', 'sd', '--d', '1', '--N', '3',\n"
@@ -595,8 +597,10 @@ def test_cli_import_leaves_out_dataclasses_and_csv():
         "cli.main(['verify', '--claim', 'mod5_4k1_r2', '--k-max', '0',\n"
         "          '--n-max', '5'])\n"
         "parsing = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "drawn = 'random' in sys.modules\n"
+        "cli.main(['identities', '--only', 'omega', '--instances', '3'])\n"
         "print(sorted(watched), added, 'csv' in sys.modules,\n"
-        "      sorted(parsing))\n"
+        "      sorted(parsing), drawn, 'random' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
@@ -604,8 +608,8 @@ def test_cli_import_leaves_out_dataclasses_and_csv():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == \
-        "['argparse', 'csv', 'dataclasses', 'gettext', 'locale', 'typing'] " \
-        "[] True []"
+        "['__future__', 'argparse', 'csv', 'dataclasses', 'gettext', " \
+        "'locale', 'random', 'typing'] [] True [] False True"
 
 
 # Stored stdout digests of the benchmark jobs; read only.  Each command in

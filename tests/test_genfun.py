@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partition_diamonds import polynomials, series
+from partition_diamonds import genfun, polynomials, series
 from partition_diamonds.genfun import (
     ddn_series_closed, mersmann_F_series, rd_series, sd_series,
     sd_series_factorwise,
@@ -181,6 +181,20 @@ def test_ddn_with_enough_cells_is_rd(d, order, extra, m):
     assert ddn_series_closed(d, n, order) == rd_series(d, order)
     assert ddn_series_closed(d, n, order, RingSpec(m)) == \
         rd_series(d, order, RingSpec(m))
+
+
+def test_ddn_work_stops_growing_with_n(monkeypatch):
+    # a numerator or node factor at or past the order is 1 below it, so a
+    # million cells cost no more passes than the order
+    calls = {"mul_sparse": 0, "div_one_minus": 0}
+    for name in calls:
+        def counted(*args, name=name, primitive=getattr(genfun, name)):
+            calls[name] += 1
+            primitive(*args)
+
+        monkeypatch.setattr(genfun, name, counted)
+    assert ddn_series_closed(3, 10 ** 6, 20) == rd_series(3, 20)
+    assert 0 < min(calls.values()) and max(calls.values()) <= 20, calls
 
 
 # -- s_d over Z reads only the Eulerian columns below the order ----------
