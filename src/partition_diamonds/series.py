@@ -16,10 +16,9 @@ pass (RingSpec.reduced).
 
 The closed forms in genfun and omega run on a plain coefficient list
 instead, with three in-place primitives: mul_sparse multiplies by a sparse
-polynomial and scales once per distinct coefficient, div_one_minus divides
-by (1 - q^s) as stride-s prefix sums, and div_sparse divides by a sparse
-polynomial with constant term 1 through the recurrence that
-TruncatedSeries.inverse wraps.  euler_product builds every
+polynomial, div_one_minus divides by (1 - q^s) as stride-s prefix sums, and
+div_sparse divides by a sparse polynomial with constant term 1 through the
+recurrence that TruncatedSeries.inverse wraps.  euler_product builds every
 product of genfun: the numerators, one O(N) pass per factor other than 1,
 over a sparse eta quotient prod_s (q^s;q^s)^k.  pentagonal_terms and
 jacobi_cube_terms yield (q;q) and (q;q)^3 below q^N, with O(sqrt(N)) terms
@@ -364,33 +363,21 @@ def mul_sparse(a: list, poly: Mapping[int, int]) -> None:
 
     Every shifted term reads one snapshot of a, so the terms may come in any
     order, and a[i] only changes for i at or above the lowest non-constant
-    exponent.  The terms that share a coefficient c share one copy of the
-    snapshot scaled by c, sized for the lowest of their exponents (the
-    snapshot itself for c = 1), since F_d and A_d repeat coefficients; a
-    coefficient used once is scaled on the fly.  Exponents at or beyond
-    len(a) are dropped.
+    exponent.  Exponents at or beyond len(a) are dropped.
     """
     if poly.get(0) != 1:
         raise ValueError(f"constant term must be 1, got {poly.get(0, 0)}")
     n = len(a)
-    shifts = {}
-    for e, c in poly.items():
-        if e and e < n and c:
-            shifts.setdefault(c, []).append(e)
+    shifts = [(e, c) for e, c in poly.items() if e and e < n and c]
     if not shifts:
         return
-    low = min(map(min, shifts.values()))
+    low = min(e for e, _ in shifts)
     if low < 0:
         raise ValueError(f"negative exponent {low}")
     snap = a[:n - low]
-    for c, exponents in shifts.items():
-        row = snap
-        if c != 1:
-            row = map(mul, snap, repeat(c, n - min(exponents)))
-            if len(exponents) > 1:
-                row = list(row)     # scaled once, read once per exponent
-        for e in exponents:
-            a[e:] = map(add, a[e:], row)
+    for e, c in shifts:
+        a[e:] = map(add, a[e:],
+                    snap if c == 1 else map(mul, snap, repeat(c, n - e)))
 
 
 def div_one_minus(a: list, s: int) -> None:

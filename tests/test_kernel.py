@@ -134,9 +134,6 @@ def test_euler_product_matches_product_family(family, eta, order, ring):
        poly=st.dictionaries(st.integers(1, 80), st.integers(-50, 50),
                             max_size=5),
        stride=st.integers(1, 80), times=st.integers(0, 4))
-# a coefficient seen first at its higher exponent: the shared scaled copy
-# must still reach down to the lower one
-@example(coeffs=list(range(1, 11)), poly={5: 3, 2: 3}, stride=1, times=0)
 def test_primitives_match_series_arithmetic(coeffs, poly, stride, times):
     order = len(coeffs)
     a = list(coeffs)
