@@ -24,8 +24,8 @@ stack too, but iterates those fan values, one diamond at a time.  No
 function here recurses.  This module is the ground-truth oracle the
 closed-form generating functions are tested against, so the enumerations
 must not reuse the algebra they check: they take nothing from genfun or
-polynomials, and from series only the TruncatedSeries return type and the
-Record base class.
+polynomials, and from series only the TruncatedSeries return type.  The
+guard below is the one user of genfun here.
 
 Every enumerator first runs the one guard, check_budget: it validates the
 budget, then reads an exact count off a closed form: for rd and ddn the
@@ -42,11 +42,9 @@ from itertools import accumulate, product
 from operator import add, sub
 
 from .genfun import ddn_series_closed, rd_series, sd_series_factorwise
-from .series import Record, TruncatedSeries
+from .series import TruncatedSeries
 
 __all__ = [
-    "DiamondShape",
-    "DiamondConfig",
     "BudgetError",
     "enumeration_budget",
     "count_rd",
@@ -65,61 +63,6 @@ DEFAULT_BUDGET = 10 ** 9
 
 class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed the configured work budget."""
-
-
-class DiamondShape(Record):
-    """Fixed-shape diamond: fan width d >= 0 and n >= 0 chain cells."""
-
-    __slots__ = ("d", "n")
-
-    def __init__(self, d: int, n: int):
-        _check_width(d)
-        if n < 0:
-            raise ValueError("cell count n must be >= 0")
-        super().__init__(d, n)
-
-    @property
-    def node_count(self) -> int:
-        return (self.n + 1) + self.n * self.d
-
-
-class DiamondConfig(Record):
-    """One assignment of node values: links a_0..a_n and an n x d fan grid.
-
-    Validates the edge inequalities a_{k-1} >= b_{k,j} >= a_k on
-    construction.  The enumerators below never materialize these (they
-    count in place); the type exists as a checked witness format.
-    """
-
-    __slots__ = ("links", "fans")  # fans[k-1][j-1]: j-th fan node of cell k
-
-    def __init__(self, links: tuple, fans: tuple):
-        n = len(links) - 1
-        if n < 0:
-            raise ValueError("need at least one link")
-        if len(fans) != n:
-            raise ValueError("need one fan row per cell")
-        if any(a < 0 for a in links) or \
-                any(b < 0 for row in fans for b in row):
-            raise ValueError("node values must be non-negative")
-        for k, row in enumerate(fans, start=1):
-            hi, lo = links[k - 1], links[k]
-            if any(not (hi >= b >= lo) for b in row):
-                raise ValueError(
-                    f"cell {k} violates a_{k - 1} >= b >= a_{k}"
-                )
-        super().__init__(links, fans)
-
-    @property
-    def shape(self) -> DiamondShape:
-        d = len(self.fans[0]) if self.fans else 1
-        return DiamondShape(d, len(self.links) - 1)
-
-    def total_weight(self) -> int:
-        return sum(self.links) + sum(b for row in self.fans for b in row)
-
-    def link_weight(self) -> int:
-        return sum(self.links)
 
 
 def enumeration_budget(budget: int | None = None) -> int:

@@ -48,7 +48,6 @@ __all__ = [
     "product_family",
     "pentagonal_series",
     "jacobi_cube_series",
-    "reduce_mod",
     "series_to_json_dict",
 ]
 
@@ -306,14 +305,6 @@ class TruncatedSeries(Record):
                 sq = sq * sq
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
 
 def product_family(factor_at: Callable[[int], TruncatedSeries], order: int,
                    ring: RingSpec = ZZ) -> TruncatedSeries:
@@ -539,21 +530,6 @@ def jacobi_cube_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
         raise ValueError("order must be >= 1")
     return TruncatedSeries.from_terms(dict(jacobi_cube_terms(order)), order,
                                       ring)
-
-
-def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Coefficientwise reduction into Z/mZ with representatives in [0, m).
-
-    From Z this is always defined; from Z/m0 only the natural projections
-    (m dividing m0, in particular m == m0) are allowed.
-    """
-    target = RingSpec(m)
-    if a.ring.modulus is not None and a.ring.modulus % m != 0:
-        raise ValueError(
-            f"cannot reduce mod {m} from mod {a.ring.modulus}: "
-            "not a ring projection"
-        )
-    return TruncatedSeries(target, target.reduced(a.coeffs))
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from partition_diamonds.cli import (DEFAULT_SEED, IDENTITY_CHECKS, cmd_coeffs,
                                     cmd_identities, cmd_oracle, cmd_scan,
                                     cmd_verify, main)
 from partition_diamonds.genfun import rd_series, sd_series
-from partition_diamonds.series import reduce_mod
+from partition_diamonds.series import RingSpec
 
 
 def run_cli(capsys, *argv):
@@ -76,9 +76,9 @@ def test_coeffs_mod_equals_reduced_exact_build(capsys, series, d, m):
                            str(d), "--N", "120", "--mod", str(m))
     assert code == 0
     build = {"rd": rd_series, "sd": sd_series}[series]
-    want = reduce_mod(build(d, 120), m)
+    want = RingSpec(m).reduced(build(d, 120).coeffs)
     assert json.loads(out) == {"ring": {"mod": m}, "order": 120,
-                               "coeffs": [str(c) for c in want.coeffs]}
+                               "coeffs": [str(c) for c in want]}
 
 
 @pytest.mark.parametrize("series", ("rd", "sd", "ddn"))
@@ -100,7 +100,7 @@ def test_coeffs_bad_mod_exits_2_before_building(capsys, monkeypatch, series,
 
 
 # stdout digests of coeffs --series ddn --mod, recorded while the CLI still
-# built the exact series and reduced it with reduce_mod afterwards
+# built the exact series and reduced its coefficients mod m afterwards
 DDN_MOD_DIGESTS = {
     "--d 3 --n 4 --N 300 --mod 7":
         "1b10d50caf8891d89cecdbba1480509d2f9ac2350025fd5506f9d0522b563959",

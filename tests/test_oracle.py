@@ -3,9 +3,10 @@
 Expected values here come either from forced configurations (weight 0 and 1
 are fully determined), from hand enumeration recorded in comments, from
 independent partition counting written in the test file, or from a literal
-enumerator that builds every diamond as a validated DiamondConfig.
+enumerator that iterates every diamond and checks its inequalities.
 """
 
+import ast
 import sys
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -16,10 +17,9 @@ from hypothesis import strategies as st
 
 from partition_diamonds import oracle
 from partition_diamonds.oracle import (
-    BudgetError, DiamondConfig, DiamondShape, count_rd, count_rd_upto,
-    count_sd, count_sd_raw, count_sd_upto, enumeration_budget,
-    estimate_ddn_enumeration, estimate_rd_enumeration,
-    series_Ddn_bruteforce, series_Ddn_shifted,
+    BudgetError, count_rd, count_rd_upto, count_sd, count_sd_raw,
+    count_sd_upto, enumeration_budget, estimate_ddn_enumeration,
+    estimate_rd_enumeration, series_Ddn_bruteforce, series_Ddn_shifted,
 )
 from partition_diamonds.series import TruncatedSeries
 
@@ -42,29 +42,6 @@ def partitions_at_most_k_parts(n, k):
 
 def brute_partition_count(n):
     return partitions_at_most_k_parts(n, n) if n else 1
-
-
-def test_shape_invariants():
-    assert DiamondShape(3, 4).node_count == 5 + 12
-    with pytest.raises(ValueError):
-        DiamondShape(-1, 1)
-    with pytest.raises(ValueError):
-        DiamondShape(1, -1)
-
-
-def test_config_validation():
-    good = DiamondConfig(links=(2, 1), fans=((2, 1),))
-    assert good.total_weight() == 6
-    assert good.link_weight() == 3
-    assert good.shape == DiamondShape(2, 1)
-    with pytest.raises(ValueError, match="violates"):
-        DiamondConfig(links=(2, 1), fans=((3, 1),))   # fan above a_0
-    with pytest.raises(ValueError, match="violates"):
-        DiamondConfig(links=(2, 1), fans=((2, 0),))   # fan below a_1
-    with pytest.raises(ValueError, match="non-negative"):
-        DiamondConfig(links=(2, -1), fans=((2, 0),))
-    with pytest.raises(ValueError, match="fan row"):
-        DiamondConfig(links=(2, 1, 0), fans=((2, 1),))
 
 
 def test_count_rd_weight_zero():
@@ -430,16 +407,16 @@ def test_negative_width_is_rejected():
 # The link-chain walk against a literal per-diamond enumerator
 # ---------------------------------------------------------------------
 
-def literal_counts(d, cells, rho, top, grade=DiamondConfig.total_weight):
+def literal_counts(d, cells, rho, top, by_links=False):
     """Diamonds of weight <= top with every node >= rho, one at a time.
 
     Link chains are weakly decreasing tuples: n + 1 links in [rho, top] for
     a fixed shape of n cells, or for free length (rho = 0) k positive links
     closed by one zero link, the support of the diamond.  Each chain takes
     itertools.product over its fan grid, fan j of cell k in [a_k, a_{k-1}]
-    cut to the weight left, and every diamond is built as a DiamondConfig,
-    which checks its inequalities, and counted by `grade`, its total weight
-    unless another grade is given (link_weight for s_d).
+    cut to the weight left.  Every diamond has its inequalities checked and
+    is counted by its total weight, or by its link weight if by_links (for
+    s_d).
     """
     if cells is None:
         chains = (links + (0,) for k in range(top + 1)
@@ -457,10 +434,11 @@ def literal_counts(d, cells, rho, top, grade=DiamondConfig.total_weight):
         grid = [range(links[k], min(links[k - 1], links[k] + slack) + 1)
                 for k in range(1, n + 1) for _ in range(d)]
         for values in product(*grid):
-            fans = tuple(values[k * d:(k + 1) * d] for k in range(n))
-            config = DiamondConfig(links, fans)
-            if config.total_weight() <= top:
-                counts[grade(config)] += 1
+            assert all(links[i // d] >= b >= links[i // d + 1]
+                       for i, b in enumerate(values))
+            weight = sum(links) + sum(values)
+            if weight <= top:
+                counts[sum(links) if by_links else weight] += 1
     return counts
 
 
@@ -482,7 +460,7 @@ def test_sd_matches_literal_diamonds(d):
     # link weight <= top // (d+1) is among those enumerated to weight top
     top = 12
     w_max = top // (d + 1)
-    literal = literal_counts(d, None, 0, top, DiamondConfig.link_weight)
+    literal = literal_counts(d, None, 0, top, by_links=True)
     assert count_sd_upto(d, w_max) == literal[:w_max + 1]
     assert [count_sd_raw(d, w) for w in range(w_max + 1)] \
         == literal[:w_max + 1]
@@ -502,3 +480,60 @@ def test_walk_matches_literal_diamonds_property(d, cells, rho, top):
     else:
         got = list(series_Ddn_shifted(d, cells, rho, top + 1).coeffs)
     assert got == literal_counts(d, cells, rho, top)
+
+
+# ---------------------------------------------------------------------
+# The oracle does not import the algebra it checks
+# ---------------------------------------------------------------------
+
+# genfun supplies only the closed forms the budget guard reads, and series
+# only the return type; every other package module is off limits
+ORACLE_MAY_IMPORT = {
+    "genfun": {"rd_series", "ddn_series_closed", "sd_series_factorwise"},
+    "series": {"TruncatedSeries"},
+}
+
+
+def package_imports(source):
+    """{package module: names imported from it} over every import in
+    source, with "*" for a module imported whole."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "partition_diamonds":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.setdefault(module, set()).update(
+                    alias.name for alias in node.names)
+            else:  # from . import genfun
+                for alias in node.names:
+                    found.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "partition_diamonds":
+                    found.setdefault(module, set()).add("*")
+    return found
+
+
+def test_oracle_imports_only_the_guard_builders_and_the_return_type():
+    with open(oracle.__file__, encoding="utf-8") as f:
+        found = package_imports(f.read())
+    assert set(found) <= set(ORACLE_MAY_IMPORT), found
+    for module, names in found.items():
+        assert names <= ORACLE_MAY_IMPORT[module], (module, names)
+
+
+def test_package_imports_sees_every_import_form():
+    source = ("import os\n"
+              "import partition_diamonds.omega\n"
+              "from . import congruences\n"
+              "from .series import Record, TruncatedSeries\n"
+              "from partition_diamonds.polynomials import fd_poly\n")
+    assert package_imports(source) == {
+        "omega": {"*"}, "congruences": {"*"},
+        "series": {"Record", "TruncatedSeries"}, "polynomials": {"fd_poly"},
+    }

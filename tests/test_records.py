@@ -10,7 +10,6 @@ import pytest
 from partition_diamonds.congruences import (ClaimReport, CongruenceClaim,
                                             Witness)
 from partition_diamonds.omega import OmegaInstance
-from partition_diamonds.oracle import DiamondConfig, DiamondShape
 from partition_diamonds.polynomials import UnivariatePolynomial
 from partition_diamonds.series import ZZ, Record, RingSpec, TruncatedSeries
 
@@ -25,10 +24,6 @@ INSTANCES = [
     (UnivariatePolynomial((1, 4, 1)),
      UnivariatePolynomial(coeffs=(1, 4, 1)),
      "UnivariatePolynomial(coeffs=(1, 4, 1))"),
-    (DiamondShape(2, 3), DiamondShape(d=2, n=3), "DiamondShape(d=2, n=3)"),
-    (DiamondConfig((2, 1), ((2, 1),)),
-     DiamondConfig(links=(2, 1), fans=((2, 1),)),
-     "DiamondConfig(links=(2, 1), fans=((2, 1),))"),
     (OmegaInstance(1, 2, (1, 2), 3),
      OmegaInstance(j=1, d=2, x_exponents=(1, 2), y_exponent=3),
      "OmegaInstance(j=1, d=2, x_exponents=(1, 2), y_exponent=3)"),
@@ -76,7 +71,6 @@ def test_no_equality_with_another_class_or_a_tuple(pos, kw, text):
 
 def test_unequal_fields_compare_unequal():
     assert RingSpec(5) != RingSpec(7) and RingSpec(5) != ZZ
-    assert DiamondShape(2, 3) != DiamondShape(3, 2)
     assert CLAIM != CongruenceClaim(4, 1, 5, 2, modulus=5)
     assert TruncatedSeries(ZZ, (1, 2)) != \
         TruncatedSeries(RingSpec(5), (1, 2))
@@ -109,14 +103,6 @@ VALIDATION = [
     (lambda: RingSpec(1 << 64),
      f"modulus must fit in 64 bits, got {1 << 64}"),
     (lambda: TruncatedSeries(ZZ, ()), "series order must be >= 1"),
-    (lambda: DiamondShape(-1, 1), "fan width d must be >= 0, got -1"),
-    (lambda: DiamondShape(1, -1), "cell count n must be >= 0"),
-    (lambda: DiamondConfig((), ()), "need at least one link"),
-    (lambda: DiamondConfig((2, 1), ()), "need one fan row per cell"),
-    (lambda: DiamondConfig((2, -1), ((2,),)),
-     "node values must be non-negative"),
-    (lambda: DiamondConfig((2, 1), ((3,),)),
-     "cell 1 violates a_0 >= b >= a_1"),
     (lambda: OmegaInstance(0, 0, (), 1), "d must be >= 1"),
     (lambda: OmegaInstance(0, 2, (1,), 1), "need exactly d x-exponents"),
     (lambda: OmegaInstance(0, 1, (0,), 1), "x exponents must be >= 1"),
@@ -144,11 +130,6 @@ CLAIM_RING_WIDTH = (lambda: CongruenceClaim(4, 1, 5, 2, modulus=1 << 64),
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make()
-
-
-def test_zero_width_config_has_a_shape():
-    # d = 0 (links only) is a width the enumerations accept
-    assert DiamondConfig((2, 1), ((),)).shape == DiamondShape(0, 1)
 
 
 def test_record_takes_one_value_per_field():

@@ -12,7 +12,7 @@ import pytest
 
 from partition_diamonds.series import (
     RingSpec, TruncatedSeries, ZZ, jacobi_cube_series, pentagonal_series,
-    product_family, reduce_mod, series_to_json_dict,
+    product_family, series_to_json_dict,
 )
 
 
@@ -175,21 +175,21 @@ def test_jacobi_matches_pentagonal_cubed():
 
 # -- reduction ----------------------------------------------------------
 
+def reduced(s, m):
+    ring = RingSpec(m)
+    return TruncatedSeries(ring, ring.reduced(s.coeffs))
+
+
 def test_reduce_mod_values():
-    s = TruncatedSeries.from_coeffs([1, -3, 0, 5])
-    assert reduce_mod(s, 5).coeffs == (1, 2, 0, 0)
+    assert RingSpec(5).reduced([1, -3, 0, 5]) == (1, 2, 0, 0)
+    assert ZZ.reduced([1, -3, 0, 5]) == (1, -3, 0, 5)
 
 
 def test_reduce_mod_idempotent():
-    s = TruncatedSeries.from_coeffs([7, -4, 9, 1])
-    once = reduce_mod(s, 2)
-    assert reduce_mod(once, 2) == once
-
-
-def test_reduce_mod_rejects_non_projection():
-    s = TruncatedSeries.from_coeffs([1, 2], ring=RingSpec(5))
-    with pytest.raises(ValueError, match="projection"):
-        reduce_mod(s, 3)
+    ring = RingSpec(2)
+    once = ring.reduced([7, -4, 9, 1])
+    assert once == (1, 0, 1, 1)
+    assert ring.reduced(once) == once
 
 
 # -- randomized invariants ----------------------------------------------
@@ -231,10 +231,10 @@ def test_reduce_commutes_with_mul_and_pow():
         m = rng.choice([2, 3, 5, 8, 11, 64])
         a = random_series(rng, max_order=24)
         b = random_series(rng, max_order=24, order=a.order)
-        assert reduce_mod(a * b, m) == \
-            reduce_mod(a, m) * reduce_mod(b, m)
+        assert reduced(a * b, m) == \
+            reduced(a, m) * reduced(b, m)
         e = rng.randint(0, 4)
-        assert reduce_mod(a ** e, m) == reduce_mod(a, m) ** e
+        assert reduced(a ** e, m) == reduced(a, m) ** e
 
 
 # -- map-based kernels against literal per-coefficient loops -------------
