@@ -16,7 +16,7 @@ from partition_diamonds import (
 
 def show_bivariate(d):
     parts = []
-    for (i, j), c in sorted(fd_poly(d).terms.items()):
+    for (i, j), c in sorted(fd_poly(d).items()):
         mono = "" if (i, j) == (0, 0) else \
             f"q0^{i}" * (i > 0) + f" w^{j}" * (j > 0)
         parts.append(f"{c} {mono}".strip())
@@ -31,8 +31,8 @@ print("w = 1 collapse onto Eulerian polynomials:")
 for d in range(1, 9):
     collapsed = fd_at_w1(d)
     assert collapsed == eulerian_poly(d)
-    print(f"  F_{d}(q,1) = {list(collapsed.coeffs)}  "
-          f"(coefficients sum to {sum(collapsed.coeffs)} = {d}!)")
+    print(f"  F_{d}(q,1) = {list(collapsed)}  "
+          f"(coefficients sum to {sum(collapsed)} = {d}!)")
 
 print()
 print("specialized numerators of the r_d products (n-th factor):")
@@ -48,7 +48,7 @@ print("Euler's power-sum identity behind the s_d product:")
 d, order = 3, 12
 power_sum = TruncatedSeries.from_terms(
     {j: (j + 1) ** d for j in range(order)}, order)
-closed = eulerian_poly(d).to_series(order) * \
+closed = TruncatedSeries.from_coeffs(eulerian_poly(d), order) * \
     TruncatedSeries.from_terms({0: 1, 1: -1}, order) ** (-(d + 1))
 assert power_sum == closed
 print(f"  sum (j+1)^{d} q^j  ==  A_{d}(q)/(1-q)^{d + 1}   "

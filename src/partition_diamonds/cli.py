@@ -111,7 +111,7 @@ def _check_euler_factor(order: int) -> dict:
     for d in range(1, 7):
         power_sum = TruncatedSeries.from_terms(
             {j: (j + 1) ** d for j in range(order)}, order, ZZ)
-        closed = (eulerian_poly(d).to_series(order)
+        closed = (TruncatedSeries.from_coeffs(eulerian_poly(d), order)
                   * TruncatedSeries.from_terms({0: 1, 1: -1}, order, ZZ)
                   ** (-(d + 1)))
         if power_sum != closed:

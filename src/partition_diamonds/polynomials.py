@@ -1,8 +1,9 @@
 """Eulerian polynomials and the bivariate numerator family F_d(q0, w).
 
 A_d is the classical Eulerian polynomial (descent counts over permutations
-of d letters).  Its coefficients A(d, k), the number of permutations of d
-letters with k descents, obey
+of d letters), and eulerian_poly returns it as the tuple of its
+coefficients A(d, k), the number of permutations of d letters with k
+descents.  They obey
 
     A(0, 0) = 1,   A(d, k) = (k + 1) A(d-1, k) + (d - k) A(d-1, k-1),
 
@@ -26,75 +27,24 @@ polynomial in w, obeys the q-analogue of the A(d, k) loop,
 which _fd_rows runs, caching the last two levels, so no division by
 (1 - w) is needed.  The rows are the one copy of F_d: fd_terms reads
 F_d(q^a, q^b) off them, row k only while k a is below the order and cut
-to the w powers that land below it, and fd_poly copies them out whole.
-Specializing w = 1 collapses F_d to A_d, which is the bridge between
-diamond counting and Eulerian numbers.
+to the w powers that land below it, and fd_poly copies them out whole as
+a {(des, maj): count} dict.  Specializing w = 1 (fd_at_w1, the tuple of
+row sums) collapses F_d to A_d, which is the bridge between diamond
+counting and Eulerian numbers.
 """
 
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, sub
 
-from .series import Record, RingSpec, TruncatedSeries, ZZ
+from .series import TruncatedSeries
 
 __all__ = [
-    "UnivariatePolynomial",
-    "BivariatePolynomial",
     "eulerian_poly",
     "fd_poly",
     "fd_specialize",
     "fd_at_w1",
 ]
-
-
-class UnivariatePolynomial(Record):
-    """Dense exact-integer polynomial; coeffs[i] is the q^i coefficient.
-
-    Trailing zeros are stripped; the zero polynomial has empty coeffs.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        super().__init__(coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs) -> "UnivariatePolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UnivariatePolynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def to_series(self, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
-        """The polynomial as a series of the given order."""
-        return TruncatedSeries.from_terms(dict(enumerate(self.coeffs)),
-                                          order, ring)
-
-
-class BivariatePolynomial:
-    """Sparse exact polynomial in (q0, w): {(i, j): coefficient}, no zeros.
-
-    For F_d, i counts descents and j is the major index.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms):
-        self._terms = {e: c for e, c in terms.items() if c}
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
 
 def _eulerian_row(d: int, cap: int) -> list:
@@ -107,11 +57,11 @@ def _eulerian_row(d: int, cap: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def eulerian_poly(d: int) -> UnivariatePolynomial:
-    """The d-th Eulerian polynomial; degree d-1 for d >= 1, coefficients sum to d!."""
+def eulerian_poly(d: int) -> tuple:
+    """A(d, 0..max(d-1, 0)), the coefficients of A_d; they sum to d!."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return UnivariatePolynomial(tuple(_eulerian_row(d, d + 1)))
+    return tuple(_eulerian_row(d, d + 1))
 
 
 def _times_q_int(row, m: int) -> list:
@@ -143,11 +93,10 @@ def _fd_rows(d: int) -> tuple:
             (0,) * (d - 1) + prev[-1])
 
 
-def fd_poly(d: int) -> BivariatePolynomial:
-    """The numerator F_d(q0, w) whole, from the cached rows; q0-degree max(d-1, 0)."""
-    return BivariatePolynomial({(k, j): c
-                                for k, row in enumerate(_fd_rows(d))
-                                for j, c in enumerate(row)})
+def fd_poly(d: int) -> dict:
+    """F_d(q0, w) whole as a new {(des, maj): count} dict with no zero count."""
+    return {(k, j): c for k, row in enumerate(_fd_rows(d))
+            for j, c in enumerate(row) if c}
 
 
 def fd_terms(d: int, a: int, b: int, order: int) -> dict:
@@ -175,6 +124,6 @@ def fd_specialize(d: int, a: int, b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(fd_terms(d, a, b, order), order)
 
 
-def fd_at_w1(d: int) -> UnivariatePolynomial:
+def fd_at_w1(d: int) -> tuple:
     """F_d(q0, 1), collected in q0: its row sums.  Equals eulerian_poly(d)."""
-    return UnivariatePolynomial(tuple(map(sum, _fd_rows(d))))
+    return tuple(map(sum, _fd_rows(d)))

@@ -10,7 +10,6 @@ import pytest
 from partition_diamonds.congruences import (ClaimReport, CongruenceClaim,
                                             Witness)
 from partition_diamonds.omega import OmegaInstance
-from partition_diamonds.polynomials import UnivariatePolynomial
 from partition_diamonds.series import ZZ, Record, RingSpec, TruncatedSeries
 
 CLAIM = CongruenceClaim(4, 1, 5, 2, modulus=5, label="mod5_4k1_r2")
@@ -21,9 +20,6 @@ INSTANCES = [
     (ZZ, RingSpec(modulus=None), "ZZ"),
     (TruncatedSeries(ZZ, (1, 2)), TruncatedSeries(ring=ZZ, coeffs=(1, 2)),
      "TruncatedSeries(ring=ZZ, coeffs=(1, 2))"),
-    (UnivariatePolynomial((1, 4, 1)),
-     UnivariatePolynomial(coeffs=(1, 4, 1)),
-     "UnivariatePolynomial(coeffs=(1, 4, 1))"),
     (OmegaInstance(1, 2, (1, 2), 3),
      OmegaInstance(j=1, d=2, x_exponents=(1, 2), y_exponent=3),
      "OmegaInstance(j=1, d=2, x_exponents=(1, 2), y_exponent=3)"),
