@@ -99,14 +99,13 @@ def cmd_coeffs(args: SimpleNamespace) -> int:
     return 0
 
 
-def _check_eulerian(d_max: int) -> dict:
+def _check_eulerian(d_max: int) -> tuple:
     bad = [d for d in range(1, d_max + 1)
            if fd_at_w1(d) != eulerian_poly(d)]
-    return {"name": "eulerian", "passed": not bad,
-            "detail": {"d_max": d_max, "failures": bad}}
+    return not bad, {"d_max": d_max, "failures": bad}
 
 
-def _check_euler_factor(order: int) -> dict:
+def _check_euler_factor(order: int) -> tuple:
     bad = []
     for d in range(1, 7):
         power_sum = TruncatedSeries.from_terms(
@@ -116,51 +115,47 @@ def _check_euler_factor(order: int) -> dict:
                   ** (-(d + 1)))
         if power_sum != closed:
             bad.append(d)
-    return {"name": "euler-factor", "passed": not bad,
-            "detail": {"order": order, "failures": bad}}
+    return not bad, {"order": order, "failures": bad}
 
 
-def _check_pentagonal(order: int) -> dict:
+def _check_pentagonal(order: int) -> tuple:
     direct = product_family(
         lambda n: TruncatedSeries.from_terms({0: 1, n: -1}, order, ZZ),
         order, ZZ)
-    ok = pentagonal_series(order) == direct
-    return {"name": "pentagonal", "passed": ok, "detail": {"order": order}}
+    return pentagonal_series(order) == direct, {"order": order}
 
 
-def _check_jacobi(order: int) -> dict:
+def _check_jacobi(order: int) -> tuple:
     ok = jacobi_cube_series(order) == pentagonal_series(order) ** 3
-    return {"name": "jacobi", "passed": ok, "detail": {"order": order}}
+    return ok, {"order": order}
 
 
-def _check_mersmann(order: int) -> dict:
-    result = mersmann_F_series(order)
-    return {"name": "mersmann", "passed": result.agree,
-            "detail": {"order": order}}
+def _check_mersmann(order: int) -> tuple:
+    return mersmann_F_series(order).agree, {"order": order}
 
 
-def _check_omega(instances: int, seed: int) -> dict:
+def _check_omega(instances: int, seed: int) -> tuple:
     report = run_omega_suite(instances, seed)
     failures = [
         {"j": inst.j, "d": inst.d, "x_exponents": list(inst.x_exponents),
          "y_exponent": inst.y_exponent}
         for inst in report.failures
     ]
-    return {"name": "omega", "passed": not failures,
-            "detail": {"instances": report.instances, "failures": failures}}
+    return not failures, {"instances": report.instances, "failures": failures}
 
 
-def _check_crude(order: int = 15) -> dict:
+def _check_crude() -> tuple:
+    order = 15
     bad = []
     for d in (1, 2, 3):
         for exps in product((1, 2), repeat=3):
             if not crude_Dd1_check(d, *exps, order):
                 bad.append({"d": d, "exponents": list(exps)})
-    return {"name": "crude", "passed": not bad,
-            "detail": {"order": order, "failures": bad}}
+    return not bad, {"order": order, "failures": bad}
 
 
-# --only choices, in run order; each check is looked up when it runs
+# --only choices, in run order; each check returns (passed, detail) and is
+# looked up when it runs
 IDENTITY_CHECKS = {
     "eulerian": lambda args: _check_eulerian(args.d_max),
     "euler-factor": lambda args: _check_euler_factor(min(args.N, 60)),
@@ -176,8 +171,10 @@ def cmd_identities(args: SimpleNamespace) -> int:
     # a check over nothing would pass
     _check_d("--d-max", args.d_max)
     _check_positive(("--N", args.N), ("--instances", args.instances))
-    names = [args.only] if args.only else IDENTITY_CHECKS
-    checks = [IDENTITY_CHECKS[name](args) for name in names]
+    checks = []
+    for name in [args.only] if args.only else IDENTITY_CHECKS:
+        ok, detail = IDENTITY_CHECKS[name](args)
+        checks.append({"name": name, "passed": ok, "detail": detail})
     passed = all(c["passed"] for c in checks)
     _emit({"checks": checks, "passed": passed})
     return 0 if passed else 1

@@ -9,12 +9,14 @@ sparse eta quotient prod_s (q^s; q^s)^k, and both are built by
 series.euler_product: the numerators first, whose stabilization contract
 guarantees that factors beyond the truncation order contribute nothing,
 then one division by Euler's pentagonal series and Jacobi's series, with
-O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q);
-sd_series divides A_d(q^n) numerators by (q;q)^{d+1}, needs none for d = 1
-and 2, and over Z/mZ keeps a periodic numerator over (q^m;q^m) for tables
-that reduce to neither.  ddn_series_closed, Stanley's P-partition form on
-n(d+1)+1 nodes, puts the n link numerators of rd_series over (q;q)_{n(d+1)+1}
-with one division per node over Z, and reduces over Z/mZ once, at the end.
+O(sqrt(N)) terms each.  rd_series divides its F_d numerators by (q;q).
+sd_series has one eta branch, with no numerator, for every d <= 2 (over
+Z/mZ also every d whose residue table equals that of exponent 1 or 2), and
+one numerator for every other d: A_d(q^n) over (q;q)^{d+1} over Z, the
+periodic residue table over (q^m;q^m) in Z/mZ.  ddn_series_closed,
+Stanley's P-partition form on n(d+1)+1 nodes, puts the n link numerators of
+rd_series over (q;q)_{n(d+1)+1} with one division per node over Z, and
+reduces over Z/mZ once, at the end.
 sd_series_factorwise stays on product_family as the independent reference.
 
 mersmann_F_series computes the weight-1/2 eta quotient
@@ -70,41 +72,35 @@ def sd_series(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
 
     The n-th factor is sum_j (j+1)^d q^{jn} = A_d(q^n) / (1 - q^n)^(d+1)
     with A_d the Eulerian polynomial, so the series is prod_n A_d(q^n) /
-    (q;q)^{d+1}.  A_0 = A_1 = 1, so s_0 = 1/(q;q) (links only: the
-    partitions) and s_1 = 1/(q;q)^2; A_2 = 1 + x makes prod_n A_2(q^n) =
-    (q^2;q^2)/(q;q), so s_2 = (q^2;q^2)/(q;q)^4 needs no numerator.
+    (q;q)^{d+1}.  Over Z/mZ it depends on d only through the table (j+1)^d
+    mod m for j < min(m, order), so a d whose table equals that of exponent
+    1 or 2 (1 tried first) is built as that exponent.
 
-    Over Z/mZ the series depends on d only through the table (j+1)^d mod m
-    for j < min(m, order), so a d whose table equals the table of exponent
-    1 or 2 is built as that exponent.  Any other table has period m in j:
+    Then one eta branch takes every d <= 2, with no numerator: A_0 = A_1 = 1
+    gives 1/(q;q)^{d+1}, and A_2 = 1 + x = (1 - x^2)/(1 - x) gives
+    (q^2;q^2)/(q;q)^4.  One numerator takes every other d: the A_d row over
+    (q;q)^{d+1} over Z, or over Z/mZ the table, which has period m in j, so
     factor n is also sum_{j<m} ((j+1)^d mod m) q^{jn} over (1 - q^{mn}),
-    with j cut off at the truncation order, so (q^m;q^m) in all.
+    (q^m;q^m) in all.  Factor n keeps the first ceil(order/n) entries.
     """
     if d < 0 or order < 1:
         raise ValueError("need d >= 0 and order >= 1")
     m = ring.modulus
     if m is not None:
         powers = _residue_table(d, m, order)
-        for e in (1, 2):
-            if powers == _residue_table(e, m, order):
-                d = e
-                break
-        else:
-            def periodic(n: int) -> dict:
-                terms = min(m, -(-order // n))
-                return {j * n: powers[j] for j in range(terms)}
-
-            return euler_product(periodic, order, ring, eta={m: 1})
-    if d == 1:
-        return euler_product(None, order, ring, eta={1: 2})
-    if d == 2:
-        return euler_product(None, order, ring, eta={1: 4, 2: -1})
-    a_d = _eulerian_row(d, order)       # A(d, k) for k >= order lands past it
+        d = next((e for e in (1, 2)
+                  if powers == _residue_table(e, m, order)), d)
+    if d <= 2:
+        return euler_product(None, order, ring,
+                             eta={1: 4, 2: -1} if d == 2 else {1: d + 1})
+    # A(d, k) for k >= order lands past the order
+    poly, eta = ((_eulerian_row(d, order), {1: d + 1}) if m is None
+                 else (powers, {m: 1}))
 
     def numerator(n: int) -> dict:
-        return {i * n: c for i, c in enumerate(a_d)}
+        return {j * n: c for j, c in enumerate(poly[:-(-order // n)])}
 
-    return euler_product(numerator, order, ring, eta={1: d + 1})
+    return euler_product(numerator, order, ring, eta=eta)
 
 
 def sd_series_factorwise(d: int, order: int, ring: RingSpec = ZZ) -> TruncatedSeries:

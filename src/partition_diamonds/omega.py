@@ -201,8 +201,10 @@ def random_instances(count: int, seed: int) -> Iterable[OmegaInstance]:
 OmegaSuiteReport = namedtuple("OmegaSuiteReport", "instances failures")
 
 
-def run_omega_suite(count: int, seed: int, order: int = 20) -> OmegaSuiteReport:
-    """Compare brute force against the closed form on random instances."""
+def run_omega_suite(count: int, seed: int) -> OmegaSuiteReport:
+    """Compare brute force against the closed form on random instances,
+    below q^20."""
+    order = 20
     failures = []
     for inst in random_instances(count, seed):
         if omega_bruteforce(inst, order) != omega_closed_form(inst, order):

@@ -184,10 +184,12 @@ class TruncatedSeries(Record):
     @staticmethod
     def from_coeffs(coeffs: Iterable[int], order: int | None = None,
                     ring: RingSpec = ZZ) -> "TruncatedSeries":
-        """Series from a coefficient list, zero-padded up to `order`.
+        """Series from a coefficient list, cut or zero-padded to `order`.
 
-        Padding asserts those coefficients really are zero; callers building
-        a polynomial into a longer series rely on this.
+        A list shorter than `order` is padded with zeros; a longer one is
+        cut to its first `order` coefficients, with no error, so
+        from_coeffs([1, 2, 3], 2) has coefficients (1, 2).  order=None
+        keeps the list's length.
         """
         cs = list(coeffs)
         if order is not None:

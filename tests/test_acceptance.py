@@ -88,7 +88,7 @@ def test_criterion_06_shift_lemma():
 
 
 def test_criterion_07_omega_kernel():
-    report = run_omega_suite(200, seed=DEFAULT_SEED, order=20)
+    report = run_omega_suite(200, seed=DEFAULT_SEED)
     ok = report.instances == 200 and not report.failures
     for d in (1, 2, 3):
         for exps in product((1, 2), repeat=3):

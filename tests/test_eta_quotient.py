@@ -1,13 +1,14 @@
 """The sparse eta-quotient routes of sd_series, and the primitive div_sparse.
 
 euler_product divides a product of numerators by a sparse eta quotient
-prod_s (q^s; q^s)^k.  sd_series builds s_1 as 1/(q;q)^2 and s_2 as
-(q^2;q^2)/(q;q)^4 with no numerator at all, and over Z/mZ it takes that
-route for every d whose table (j+1)^d mod m equals the table of exponent 1
-or 2.  Any other d keeps a numerator: A_d(q^n) over (q;q)^{d+1} over Z, the
-periodic table over (q^m;q^m) in Z/mZ.  sd_series_factorwise multiplies
-bare power sums through product_family and never touches div_sparse, so it
-is the reference here.
+prod_s (q^s; q^s)^k.  sd_series has one eta branch and one numerator.
+Over Z/mZ a d whose table (j+1)^d mod m equals the table of exponent 1 or 2
+is first built as that exponent.  The eta branch then takes every d <= 2
+with no numerator: s_0 = 1/(q;q), s_1 = 1/(q;q)^2 and s_2 =
+(q^2;q^2)/(q;q)^4.  The numerator takes every other d: A_d(q^n) over
+(q;q)^{d+1} over Z, the periodic table over (q^m;q^m) in Z/mZ.
+sd_series_factorwise multiplies bare power sums through product_family and
+never touches div_sparse, so it is the reference here.
 """
 
 import pytest
@@ -33,7 +34,9 @@ REDUCING = [(5, 5), (11, 11), (13, 7), (4, 3), (6, 5), (2, 4), (3, 2)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(1, 30), order=st.integers(1, 300), ring=rings)
+@given(d=st.integers(0, 30), order=st.integers(1, 300), ring=rings)
+@example(d=0, order=300, ring=ZZ)
+@example(d=0, order=300, ring=RingSpec(7))
 @example(d=1, order=300, ring=ZZ)
 @example(d=2, order=300, ring=ZZ)
 @example(d=1, order=1, ring=ZZ)
@@ -96,6 +99,19 @@ def test_other_tables_stay_on_euler_product(monkeypatch, d, m):
     ring = ZZ if m is None else RingSpec(m)
     assert sd_series(d, 60, ring) == sd_series_factorwise(d, 60, ring)
     assert calls == [(True, {1: d + 1} if m is None else {m: 1})]
+
+
+@pytest.mark.parametrize("m", [None, 7])
+def test_d0_takes_the_eta_branch(monkeypatch, m):
+    """s_0 = 1/(q;q) passes no numerator, only eta {1: 1}."""
+    calls = record_routes(monkeypatch)
+    ring = ZZ if m is None else RingSpec(m)
+    for order in (1, 2, 120):
+        assert sd_series(0, order, ring) == \
+            sd_series_factorwise(0, order, ring)
+    # at order 1 the table mod 7 is [1], the table of exponent 1
+    assert calls == [(False, ETA[1] if m else {1: 1}), (False, {1: 1}),
+                     (False, {1: 1})]
 
 
 # -- div_sparse -----------------------------------------------------------

@@ -298,6 +298,12 @@ def test_add_sub_neg_from_coeffs_equal_literal_loops(ring):
         assert (-a).coeffs == tuple(ring.normalize(-x) for x in a.coeffs)
 
 
+def test_from_coeffs_pads_a_short_list_and_cuts_a_long_one():
+    assert TruncatedSeries.from_coeffs([1, 2], 4).coeffs == (1, 2, 0, 0)
+    # a long list is cut with no error, even where the cut terms are nonzero
+    assert TruncatedSeries.from_coeffs([1, 2, 3], 2).coeffs == (1, 2)
+
+
 def test_product_family_error_messages():
     with pytest.raises(ValueError) as exc:
         product_family(lambda n: S({0: 2}, 6), 6)
