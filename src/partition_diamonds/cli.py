@@ -8,7 +8,10 @@ early.  Only identities takes --seed, with a fixed default, so identical
 invocations produce byte-identical output.  Only oracle and verify take
 --budget, the work guard, else DIAMOND_BUDGET, validated before any estimate.
 COMMANDS holds every flag and default; parse_args reads argv from it as
-argparse did, without importing argparse.
+argparse did, without importing argparse.  BOUNDS holds every bound on a
+flag's value, and main refuses a value outside it, on every command that
+takes the flag, with exit 2 before any guard, build or check: a check or
+scan over nothing would pass on nothing.
 """
 
 import os
@@ -51,31 +54,13 @@ def _emit(payload, fmt: str = "json", header=(), rows=(),
             print(*row[:plain_width])
 
 
-MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
-
-
-def _check_d(flag: str, d: int) -> None:
-    _check_positive((flag, d))
-    if d > MAX_CLI_D:
-        raise ValueError(f"{flag} is capped at {MAX_CLI_D}")
-
-
-def _check_positive(*flags) -> None:
-    """Refuse any (flag, value) pair below 1 before doing any work."""
-    for flag, value in flags:
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
 def _check_n(kind: str, flag: str, n: int | None) -> None:
-    """--n is the ddn cell count: required there and >= 1, refused elsewhere."""
+    """--n is the ddn cell count: required there, refused elsewhere."""
     if kind != "ddn":
         if n is not None:
             raise ValueError(f"--n applies only to {flag} ddn, not {kind}")
     elif n is None:
         raise ValueError(f"{flag} ddn requires --n")
-    else:
-        _check_positive(("--n", n))
 
 
 def _closed_form(kind: str, d: int, order: int, n: int | None = None,
@@ -90,9 +75,7 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
 
 
 def cmd_coeffs(args: SimpleNamespace) -> int:
-    _check_d("--d", args.d)
     _check_n(args.series, "--series", args.n)
-    _check_positive(("--N", args.N))
     series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
     _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
           ((i, str(c)) for i, c in enumerate(series.coeffs)))
@@ -168,9 +151,6 @@ IDENTITY_CHECKS = {
 
 
 def cmd_identities(args: SimpleNamespace) -> int:
-    # a check over nothing would pass
-    _check_d("--d-max", args.d_max)
-    _check_positive(("--N", args.N), ("--instances", args.instances))
     checks = []
     for name in [args.only] if args.only else IDENTITY_CHECKS:
         ok, detail = IDENTITY_CHECKS[name](args)
@@ -181,9 +161,7 @@ def cmd_identities(args: SimpleNamespace) -> int:
 
 
 def cmd_oracle(args: SimpleNamespace) -> int:
-    _check_d("--d", args.d)
     _check_n(args.kind, "--kind", args.n)
-    _check_positive(("--N", args.N))
     mismatches = []
     # the guarded enumeration runs first, so a refused job builds no
     # comparison series (its guard only sums the closed form it checks)
@@ -238,10 +216,6 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    _check_d("--d", args.d)
-    # a progression that inspects no coefficient would be reported as zero
-    _check_positive(("--N", args.N), ("--M-max", args.M_max),
-                    ("--min-support", args.min_support))
     series = _closed_form(args.series, args.d, args.N, mod=args.m)
     found = scan_progressions(series, args.M_max, args.min_support)
     _emit({"series": args.series, "d": args.d, "m": args.m,
@@ -287,6 +261,16 @@ COMMANDS = {
 }
 ONE_OF = ("--all", "--claim", "--list")  # verify takes exactly one of these
 HELP = ("-h", "--help")
+MAX_CLI_D = 64  # d! coefficient growth; a CLI guard, not a library limit
+# flag -> (least, most or None)
+BOUNDS = {"--d": (1, MAX_CLI_D), "--d-max": (1, MAX_CLI_D), "--n": (1, None),
+          "--N": (1, None), "--M-max": (1, None), "--min-support": (1, None),
+          "--instances": (1, None)}
+
+
+def _attr(flag: str) -> str:
+    """The attribute a flag sets: "--M-max" sets M_max."""
+    return flag[2:].replace("-", "_")
 
 
 def _usage(command: str | None) -> str:
@@ -364,8 +348,8 @@ def _value(command: str | None, name: str, kind, text: str | None, choices):
 
 
 def parse_args(argv=None) -> SimpleNamespace:
-    """The command, its handler and one attribute per flag ("--M-max" sets
-    M_max), read from COMMANDS; a usage error exits 2 and help exits 0."""
+    """The command, its handler and one attribute per flag (named by
+    _attr), read from COMMANDS; a usage error exits 2 and help exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command, handler, flags = None, None, {}
     given, extras = {}, []
@@ -419,12 +403,21 @@ def parse_args(argv=None) -> SimpleNamespace:
         _fail(None, "unrecognized arguments: "
                     + " ".join(extras + argv[cut:]))
     return SimpleNamespace(command=command, handler=handler, **{
-        f[2:].replace("-", "_"): given.get(f, s[1]) for f, s in flags.items()})
+        _attr(f): given.get(f, s[1]) for f, s in flags.items()})
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    flags = COMMANDS[args.command][2]
     try:
+        for flag, (least, most) in BOUNDS.items():
+            value = getattr(args, _attr(flag)) if flag in flags else None
+            if value is None:  # a flag the command lacks, or --n left out
+                continue
+            if value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{flag} is capped at {most}")
         return args.handler(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)

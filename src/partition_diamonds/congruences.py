@@ -274,13 +274,6 @@ def report_to_json_dict(report: ClaimReport) -> dict:
         status = "conjecture-held" if verified else "conjecture-failed"
     else:
         status = "verified" if verified else "counterexample"
-    witness = None
-    if report.witness is not None:
-        witness = {
-            "d": report.witness.d,
-            "index": report.witness.index,
-            "value": report.witness.value,
-        }
     return {
         "claim": {
             "label": claim.label,
@@ -294,5 +287,6 @@ def report_to_json_dict(report: ClaimReport) -> dict:
         "status": status,
         "k_max": report.k_max,
         "n_max": report.n_max,
-        "witness": witness,
+        "witness": (None if report.witness is None
+                    else report.witness._asdict()),
     }

@@ -56,7 +56,6 @@ def _eulerian_row(d: int, cap: int) -> list:
     return row
 
 
-@lru_cache(maxsize=None)
 def eulerian_poly(d: int) -> tuple:
     """A(d, 0..max(d-1, 0)), the coefficients of A_d; they sum to d!."""
     if d < 0:

@@ -496,6 +496,55 @@ def test_order_and_length_below_one_name_the_flag(capsys, monkeypatch, argv,
                                        f"got {value}\n")
 
 
+# each command's bounded flags, tried at 0 and -1, and --d and --d-max at 65
+BOUNDED = {
+    "coeffs": ("--d", "--n", "--N"),
+    "identities": ("--d-max", "--N", "--instances"),
+    "oracle": ("--d", "--n", "--N"),
+    "scan": ("--d", "--N", "--M-max", "--min-support"),
+}
+# a valid argv per command; a repeated flag keeps its last value
+BOUNDED_ARGV = {
+    "coeffs": ("coeffs", "--series", "ddn", "--d", "1", "--n", "2"),
+    "identities": ("identities",),
+    "oracle": ("oracle", "--kind", "ddn", "--d", "1", "--n", "2", "--N", "6"),
+    "scan": SCAN,
+}
+BOUND_CASES = [
+    (command, flag, value, f"{flag} must be >= 1, got {value}")
+    for command, flags in BOUNDED.items() for flag in flags
+    for value in (0, -1)
+] + [
+    (command, flag, 65, f"{flag} is capped at 64")
+    for command, flags in BOUNDED.items() for flag in flags
+    if flag in ("--d", "--d-max")
+]
+NO_WORK = ("rd_series", "sd_series", "ddn_series_closed", "count_rd_upto",
+           "count_sd_upto", "series_Ddn_bruteforce", "scan_progressions",
+           "_check_eulerian", "_check_euler_factor", "_check_pentagonal",
+           "_check_jacobi", "_check_mersmann", "_check_omega", "_check_crude")
+
+
+def test_bound_cases_cover_every_bounded_flag():
+    declared = {(command, flag) for command, spec in cli.COMMANDS.items()
+                for flag in spec[2] if flag in cli.BOUNDS}
+    assert {case[:2] for case in BOUND_CASES} == declared
+
+
+@pytest.mark.parametrize("command, flag, value, message", BOUND_CASES,
+                         ids=[" ".join(map(str, c[:3])) for c in BOUND_CASES])
+def test_every_bound_is_refused_before_any_work(capsys, monkeypatch, command,
+                                                flag, value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a series, enumeration or check ran")
+
+    for name in NO_WORK:
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *BOUNDED_ARGV[command], flag,
+                             str(value))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_scan_json_shape(capsys):
     code, out, _ = run_cli(capsys, "scan", "--series", "sd", "--d", "2",
                            "--m", "2", "--M-max", "4", "--N", "200")

@@ -6,7 +6,7 @@ from partition_diamonds import congruences
 from partition_diamonds.congruences import (
     ClaimReport, CongruenceClaim,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
-    scan_progressions, verify_claim, verify_claims,
+    report_to_json_dict, scan_progressions, verify_claim, verify_claims,
 )
 from partition_diamonds.genfun import sd_series
 from partition_diamonds.oracle import BudgetError, count_sd
@@ -98,6 +98,14 @@ def test_falsified_claim_yields_witness():
     assert report.witness.index == 1
     assert report.witness.value == 2  # s_1(1) = 2, non-zero mod 5
     assert 0 < report.witness.value < 5
+
+
+def test_falsified_claim_witness_in_json():
+    bogus = CongruenceClaim(0, 1, 5, 1, modulus=5, label="bogus")
+    payload = report_to_json_dict(verify_claim(bogus, k_max=2, n_max=10))
+    assert payload["status"] == "counterexample"
+    assert list(payload["witness"].items()) == [("d", 1), ("index", 1),
+                                                ("value", 2)]
 
 
 def test_verify_budget_guard():
