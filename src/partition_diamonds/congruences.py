@@ -161,8 +161,7 @@ def verify_claim(claim: CongruenceClaim, k_max: int, n_max: int,
             continue  # the same series as an earlier k, which passed
         passed.add(table)
         series = sd_series(d, order, RingSpec(m))
-        for n in range(n_max + 1):
-            idx = claim.prog_modulus * n + claim.residue
+        for idx in range(claim.residue, order, claim.prog_modulus):
             value = series.coeffs[idx]
             if value != 0:
                 return ClaimReport(claim, k_max, n_max, "counterexample",
@@ -254,10 +253,8 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
         if -(-order // M) < min_support:
             break
         for r in range(M):
-            support = len(range(r, order, M))
-            if support < min_support:
-                continue
-            if any(coeffs[i] for i in range(r, order, M)):
+            progression = coeffs[r::M]
+            if len(progression) < min_support or any(progression):
                 continue
             if any(M % M0 == 0 and r % M0 == r0 for M0, r0 in kept):
                 continue

@@ -149,26 +149,19 @@ MersmannResult = namedtuple("MersmannResult", "series theta agree")
 def mersmann_F_series(order: int) -> MersmannResult:
     """The eta quotient F(q), its theta-sum expansion, and their agreement.
 
-    Theta side: sum_t q^{t(t+1)/2} - 3 sum_t q^{(3t+1)(3t+2)/2}.
+    Theta side: sum_t q^{T(t)} - 3 sum_t q^{(3t+1)(3t+2)/2}, with T(u) =
+    u(u+1)/2 and (3t+1)(3t+2)/2 = T(3t+1): one sum over T(u), coefficient
+    -2 when u = 1 (mod 3) and 1 otherwise.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
     # (q;q)^2 (q^6;q^6) / ((q^2;q^2) (q^3;q^3)): negative powers multiply
     eta_side = euler_product(None, order, ZZ,
                              eta={1: -2, 2: 1, 3: 1, 6: -1})
 
     terms = {}
-    t = 0
-    while t * (t + 1) // 2 < order:
-        e = t * (t + 1) // 2
-        terms[e] = terms.get(e, 0) + 1
-        t += 1
-    t = 0
-    while (3 * t + 1) * (3 * t + 2) // 2 < order:
-        e = (3 * t + 1) * (3 * t + 2) // 2
-        terms[e] = terms.get(e, 0) - 3
-        t += 1
+    u = 0
+    while u * (u + 1) // 2 < order:
+        terms[u * (u + 1) // 2] = -2 if u % 3 == 1 else 1
+        u += 1
     theta_side = TruncatedSeries.from_terms(terms, order, ZZ)
 
     return MersmannResult(eta_side, theta_side, eta_side == theta_side)

@@ -607,6 +607,32 @@ def test_broken_pipe_exits_2_without_traceback():
     assert "Traceback" not in err
 
 
+OUT_OF_MEMORY = ["coeffs --series sd --d 1 --N 1000000000",
+                 "scan --d 1 --m 5 --M-max 5 --N 1000000000",
+                 "identities --only pentagonal --N 1000000000",
+                 "verify --claim mod5_4k1_r2 --n-max 100000000 --budget "
+                 + "9" * 30]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_MEMORY)
+def test_out_of_memory_exits_2_without_traceback(argv):
+    # a 1.5 GB address space turns each build's first allocation into a
+    # MemoryError, well before any of them would finish
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_diamonds", *argv.split()],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 TABLE_LESS = ["identities --only eulerian --d-max 4",
               "oracle --kind rd --d 1 --N 6"]
 

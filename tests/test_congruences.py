@@ -4,7 +4,7 @@ import pytest
 
 from partition_diamonds import congruences
 from partition_diamonds.congruences import (
-    ClaimReport, CongruenceClaim,
+    ClaimReport, CongruenceClaim, Witness,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
     report_to_json_dict, scan_progressions, verify_claim, verify_claims,
 )
@@ -98,6 +98,17 @@ def test_falsified_claim_yields_witness():
     assert report.witness.index == 1
     assert report.witness.value == 2  # s_1(1) = 2, non-zero mod 5
     assert 0 < report.witness.value < 5
+
+
+def test_verify_inspects_the_index_at_n_max():
+    # s_1(11n + 5) is even for n <= 6 and odd at n = 7, whose index 82 is
+    # the last one the n_max = 7 series holds
+    claim = CongruenceClaim(0, 1, 11, 5, modulus=2)
+    report = verify_claim(claim, k_max=0, n_max=7)
+    assert report.status == "counterexample"
+    assert report.witness == Witness(d=1, index=82, value=1)
+    report = verify_claim(claim, k_max=0, n_max=6)
+    assert report.status == "verified_up_to_bounds"
 
 
 def test_falsified_claim_witness_in_json():
@@ -215,6 +226,14 @@ def test_scanner_requires_residue_ring_and_support():
     series = sd_series(1, 30, RingSpec(5))
     assert scan_progressions(series, 5, min_support=10) == []
     assert (5, 2) in scan_progressions(series, 5, min_support=5)
+
+
+def test_scanner_counts_support_through_the_last_index():
+    # class 5n + 4 of an order-50 series ends at index 49 and holds exactly
+    # 10 coefficients, so it reaches a min_support of 10
+    series = sd_series(1, 50, RingSpec(5))
+    assert scan_progressions(series, 5, min_support=10) == \
+        [(5, 2), (5, 3), (5, 4)]
 
 
 @pytest.mark.parametrize("min_support", [0, -3])
