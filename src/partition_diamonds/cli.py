@@ -6,7 +6,7 @@ Exit codes are strict: 0 means success (or all claims verified/held),
 or budget error, or (from the pdiamonds script) a reader that closed stdout
 early.  Only identities takes --seed, with a fixed default, so identical
 invocations produce byte-identical output.  Only oracle and verify take
---budget, the work guard, else DIAMOND_BUDGET, validated before any estimate.
+--budget, the work guard (default 1e9), validated before any estimate.
 COMMANDS holds every flag and default; parse_args reads argv from it as
 argparse did, without importing argparse.  BOUNDS holds every bound on a
 flag's value, and main refuses a value outside it, on every command that
@@ -77,8 +77,9 @@ def _closed_form(kind: str, d: int, order: int, n: int | None = None,
 def cmd_coeffs(args: SimpleNamespace) -> int:
     _check_n(args.series, "--series", args.n)
     series = _closed_form(args.series, args.d, args.N, args.n, args.mod)
-    _emit(series_to_json_dict(series), args.format, ("index", "coefficient"),
-          ((i, str(c)) for i, c in enumerate(series.coeffs)))
+    payload = series_to_json_dict(series)
+    _emit(payload, args.format, ("index", "coefficient"),
+          enumerate(payload["coeffs"]))
     return 0
 
 
@@ -229,7 +230,7 @@ REQUIRED = object()  # the default of a flag that must be given
 WIDTH, KINDS = (int, REQUIRED, None, None), ("rd", "sd", "ddn")
 LENGTH = (int, None, None, "length (ddn only)")
 BUDGET = (int, None, None, "work guard, a positive integer, checked before "
-          "any estimate (default DIAMOND_BUDGET, else 1e9)")
+          "any estimate (default 1e9)")
 FORMAT = {"--format": (str, "json", ("json", "csv", "plain"), None)}
 JSON_ONLY = {"--format": (str, "json", ("json",), None)}  # no table to print
 
@@ -409,6 +410,9 @@ def parse_args(argv=None) -> SimpleNamespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     flags = COMMANDS[args.command][2]
+    # interpreters since 3.10.7 refuse str() of a long int; exact output
+    # lifts that limit while the job runs, so no setting changes stdout
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
     try:
         for flag, (least, most) in BOUNDS.items():
             value = getattr(args, _attr(flag)) if flag in flags else None
@@ -418,11 +422,19 @@ def main(argv=None) -> int:
                 raise ValueError(f"{flag} must be >= {least}, got {value}")
             if most is not None and value > most:
                 raise ValueError(f"{flag} is capped at {most}")
-        return args.handler(args)
+        if set_digits is None:
+            return args.handler(args)
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
+        try:
+            return args.handler(args)
+        finally:
+            set_digits(limit)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    # a size past the machine's index range raises OverflowError
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -37,7 +37,6 @@ decide whether an enumeration is affordable, never what it returns, so a
 wrong one can move the budget line but not make an enumeration agree.
 """
 
-import os
 from itertools import accumulate, product
 from operator import add, sub
 
@@ -66,19 +65,12 @@ class BudgetError(RuntimeError):
 
 
 def enumeration_budget(budget: int | None = None) -> int:
-    """Active work budget, a positive integer: explicit argument, else
-    DIAMOND_BUDGET, else 1e9."""
-    name, raw = "budget", budget
+    """Active work budget, a positive integer: the explicit argument, else
+    DEFAULT_BUDGET (1e9)."""
     if budget is None:
-        name, raw = "DIAMOND_BUDGET", os.environ.get("DIAMOND_BUDGET")
-        if not raw:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            budget = 0
+        return DEFAULT_BUDGET
     if budget < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
     return budget
 
 

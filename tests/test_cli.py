@@ -209,15 +209,6 @@ def test_oracle_budget_exit_2(capsys):
     assert "budget" in err.lower()
 
 
-def test_bad_budget_env_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("DIAMOND_BUDGET", "abc")
-    code, out, err = run_cli(capsys, "oracle", "--kind", "rd", "--d", "1",
-                             "--N", "10")
-    assert code == 2
-    assert out == ""
-    assert "DIAMOND_BUDGET" in err
-
-
 def test_oracle_large_refusal_exit_2(capsys):
     # far past any recursion limit: a refusal, never a crash with exit 1
     code, out, err = run_cli(capsys, "oracle", "--kind", "rd", "--d", "1",
@@ -265,16 +256,11 @@ def test_oracle_zero_width_exit_2_before_any_work(capsys, monkeypatch, kind):
     assert err.startswith("error:")
 
 
-def test_oracle_sd_honours_budget(capsys, monkeypatch):
+def test_oracle_sd_honours_budget(capsys):
     code, out, err = run_cli(capsys, "oracle", "--kind", "sd", "--d", "1",
                              "--N", "1200", "--budget", "10")
     assert code == 2
     assert out == ""
-    assert "budget error" in err
-    monkeypatch.setenv("DIAMOND_BUDGET", "10")
-    code, _, err = run_cli(capsys, "oracle", "--kind", "sd", "--d", "1",
-                           "--N", "30")
-    assert code == 2
     assert "budget error" in err
 
 
@@ -304,10 +290,9 @@ def test_bad_budget_env_exit_2_before_any_estimate(capsys, monkeypatch,
     for name in ("estimate_rd_enumeration", "estimate_ddn_enumeration"):
         monkeypatch.setattr(oracle, name, no_estimate)
     monkeypatch.setattr(congruences, "_claim_work_estimate", no_estimate)
-    monkeypatch.setenv("DIAMOND_BUDGET", "abc")
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: DIAMOND_BUDGET must be a "
-                                       "positive integer, got 'abc'\n")
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert (code, out, err) == (2, "", "error: budget must be a positive "
+                                       "integer, got 0\n")
 
 
 COEFFS = ("coeffs", "--series", "sd", "--d", "1", "--N", "3")
@@ -633,6 +618,23 @@ def test_out_of_memory_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+PAST_INDEX_RANGE = ["coeffs --series sd --d 1 --N " + "1" + "0" * 20,
+                    "scan --d 1 --m 5 --M-max 5 --N " + "1" + "0" * 20,
+                    "identities --only pentagonal --N " + "1" + "0" * 20,
+                    "oracle --kind rd --d 1 --N " + "1" + "0" * 20,
+                    "verify --claim mod5_4k1_r2 --n-max " + "1" + "0" * 20
+                    + " --budget " + "1" + "0" * 50]
+
+
+@pytest.mark.parametrize("argv", PAST_INDEX_RANGE)
+def test_size_past_index_range_exits_2(capsys, argv):
+    # 10^20 does not fit a Py_ssize_t, so sizing a table by it raises
+    # OverflowError: a usage error, not a counterexample
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 TABLE_LESS = ["identities --only eulerian --d-max 4",
               "oracle --kind rd --d 1 --N 6"]
 
@@ -723,18 +725,54 @@ def references():
 
 
 @pytest.mark.parametrize("key", GOLDEN_KEYS)
-def test_stdout_matches_stored_digest(capsys, monkeypatch, references, key):
-    monkeypatch.delenv("DIAMOND_BUDGET", raising=False)
+def test_stdout_matches_stored_digest(capsys, references, key):
     code, out, _ = run_cli(capsys, *key.split())
     assert code == references[key]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         references[key]["sha256"]
 
 
+@pytest.mark.parametrize("key", [
+    "oracle --kind sd --d 1 --N 12",
+    "verify --claim mod5_4k1_r3 --k-max 0 --n-max 10 --format json",
+    "oracle --kind rd --d 1 --N 161",  # refused: exit 2, empty stdout
+    "coeffs --series rd --d 1 --N 200 --format json",
+])
+def test_output_depends_only_on_argv(references, key):
+    # none of these variables may change a job's stdout or exit code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "DIAMOND_BUDGET": "1",
+           "PYTHONINTMAXSTRDIGITS": "640", "PYTHONHASHSEED": "12345"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_diamonds", *key.split()],
+        capture_output=True, timeout=60, env=env)
+    assert proc.returncode == references[key]["exit"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        references[key]["sha256"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_output_ignores_the_int_digit_limit(capsys, fmt):
+    # s_64(n) below 500 reaches 811 digits, past a 640-digit str() limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    argv = ("coeffs", "--series", "sd", "--d", "64", "--N", "500",
+            "--format", fmt)
+    want = run_cli(capsys, *argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, *argv) == want
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert want[0] == 0
+
+
 # The argparse parser that cli.parse_args replaced, kept verbatim as the
 # reference of the differential tests below.
 BUDGET_HELP = ("work guard, a positive integer, checked before any estimate "
-               "(default DIAMOND_BUDGET, else 1e9)")
+               "(default 1e9)")
 
 
 def build_parser() -> argparse.ArgumentParser:

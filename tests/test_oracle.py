@@ -98,7 +98,6 @@ def test_count_sd_raw_refuses_without_enumerating(monkeypatch, d, n,
 
     for name in ("count_sd", "count_sd_upto"):
         monkeypatch.setattr(oracle, name, no_enumeration)
-    monkeypatch.delenv("DIAMOND_BUDGET", raising=False)
     with pytest.raises(BudgetError) as refused:
         count_sd_raw(d, n)
     assert str(refused.value) == message
@@ -164,24 +163,10 @@ def test_estimators_match_enumerated_totals():
     assert est == sum(series_Ddn_bruteforce(2, 2, 9).coeffs)
 
 
-def test_budget_guard_and_env_override(monkeypatch):
+def test_budget_guard():
     with pytest.raises(BudgetError):
         count_rd(2, 10, budget=5)
-    monkeypatch.setenv("DIAMOND_BUDGET", "5")
-    with pytest.raises(BudgetError):
-        count_rd(2, 10)
-    monkeypatch.delenv("DIAMOND_BUDGET")
     assert count_rd(2, 10) == count_rd_upto(2, 10)[10] > 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_budget_env_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("DIAMOND_BUDGET", value)
-    with pytest.raises(ValueError, match="DIAMOND_BUDGET"):
-        enumeration_budget()
-    with pytest.raises(ValueError, match="DIAMOND_BUDGET"):
-        count_rd(1, 3)
-    assert enumeration_budget(7) == 7  # an explicit budget wins
 
 
 # ---------------------------------------------------------------------
@@ -346,15 +331,11 @@ def test_sd_estimate_counts_visited_chains():
                               for n in range(n_max + 1))
 
 
-def test_sd_budget_guard_and_env_override(monkeypatch):
+def test_sd_budget_guard():
     with pytest.raises(BudgetError, match="count_sd"):
         count_sd_upto(1, 30, budget=10)
     with pytest.raises(BudgetError):
         count_sd(2, 30, budget=10)
-    monkeypatch.setenv("DIAMOND_BUDGET", "10")
-    with pytest.raises(BudgetError):
-        count_sd_upto(1, 30)
-    monkeypatch.delenv("DIAMOND_BUDGET")
     # the estimate is exact, so a budget of exactly that size passes and
     # one less is refused
     chains = estimate_rd_enumeration(0, 30)

@@ -3,17 +3,16 @@
 Usage: python tools/check_references.py
 
 Runs each job of the file through partition_diamonds.cli.main in this
-interpreter, with DIAMOND_BUDGET removed from the environment, and compares
-its exit code and the sha256 of its stdout with the stored ones.  Prints one
-line per mismatch and a summary, and exits 1 on any mismatch.  The file is
-only read; regenerating it is perfbench/make_refs.py's job.
+interpreter and compares its exit code and the sha256 of its stdout with
+the stored ones.  Prints one line per mismatch and a summary, and exits 1
+on any mismatch.  The file is only read; regenerating it is
+perfbench/make_refs.py's job.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +36,6 @@ def run(argv: list) -> tuple:
 
 
 def main() -> int:
-    os.environ.pop("DIAMOND_BUDGET", None)
     jobs = json.loads(REFERENCES.read_text())["jobs"]
     bad = 0
     for key, want in jobs.items():
