@@ -8,14 +8,13 @@ early.  Only identities takes --seed, with a fixed default, so identical
 invocations produce byte-identical output.  Only oracle and verify take
 --budget, the work guard (default 1e9), validated before any estimate.
 COMMANDS holds every flag and default; parse_args reads argv from it as
-argparse did, without importing argparse.  BOUNDS holds every bound on a
-flag's value, and main refuses a value outside it, on every command that
-takes the flag, with exit 2 before any guard, build or check: a check or
-scan over nothing would pass on nothing.
+argparse did, without importing argparse or re.  BOUNDS holds every bound
+on a flag's value, and main refuses a value outside it, on every command
+that takes the flag, with exit 2 before any guard, build or check: a check
+or scan over nothing would pass on nothing.
 """
 
 import os
-import re
 import sys
 from itertools import product
 from types import SimpleNamespace
@@ -329,7 +328,9 @@ def _classify(token: str, names, command: str | None):
                        + ", ".join(found))
     if found:
         return found[0], explicit
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+    # argparse's ^-\d+$|^-\d*\.\d+$; \d is isdecimal, $ allows a final \n
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    if ((whole + frac).isdecimal() and (frac or not dot)) or " " in token:
         return None  # a negative number or spaced text is a value
     return None, None
 

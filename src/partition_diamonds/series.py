@@ -3,16 +3,17 @@
 Coefficients live either in Z (arbitrary-precision Python ints) or in the
 residue ring Z/mZ for a modulus m that fits in 64 bits.  A series of order N
 stores the coefficients of q^0 .. q^(N-1) and never claims anything at or
-beyond q^N: every binary operation truncates to the minimum order of its
-inputs.
+beyond q^N: a product truncates to the lower order of its two factors.
 
-TruncatedSeries is the public value type.  Its multiplication is schoolbook
-convolution: each nonzero coefficient of the sparser operand adds one
-shifted, scaled copy of the other with map(), so products against sparse
-factors run in O(N * nnz) instead of O(N^2); product_family multiplies such
-factors one by one and is the reference path the closed forms are tested
-against.  Over Z/mZ every result is reduced once, in one map(mod, ...)
-pass (RingSpec.reduced).
+TruncatedSeries is the public value type.  It has products, inverses and
+powers but no sums: the paper's closed forms are infinite products, and
+they add coefficient lists in place (below).  Its multiplication is
+schoolbook convolution: each nonzero coefficient of the sparser operand
+adds one shifted, scaled copy of the other with map(), so products against
+sparse factors run in O(N * nnz) instead of O(N^2); product_family
+multiplies such factors one by one and is the reference path the closed
+forms are tested against.  Over Z/mZ every result is reduced once, in one
+map(mod, ...) pass (RingSpec.reduced).
 
 The closed forms in genfun and omega run on a plain coefficient list
 instead, with three in-place primitives: mul_sparse multiplies by a sparse
@@ -39,7 +40,7 @@ package only omega.random_instances imports random, when it first draws.
 
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate, compress, repeat
-from operator import add, mod, mul, neg, sub
+from operator import add, mod, mul
 
 __all__ = [
     "RingSpec",
@@ -159,8 +160,8 @@ class TruncatedSeries(Record):
     """A power series known exactly modulo q^order.
 
     coeffs[i] is the coefficient of q^i; len(coeffs) == order.  Instances
-    are immutable; all arithmetic returns new series and is safe to run
-    concurrently.
+    are immutable; a product, inverse or power returns a new series and is
+    safe to run concurrently.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -216,28 +217,11 @@ class TruncatedSeries(Record):
         return TruncatedSeries.from_terms({0: 1}, order, ring)
 
     @staticmethod
-    def zero(order: int, ring: RingSpec = ZZ) -> "TruncatedSeries":
-        return TruncatedSeries(ring, (0,) * order)
-
-    @staticmethod
     def monomial(exponent: int, order: int, coeff: int = 1,
                  ring: RingSpec = ZZ) -> "TruncatedSeries":
         return TruncatedSeries.from_terms({exponent: coeff}, order, ring)
 
     # -- helpers -------------------------------------------------------
-
-    def _common_ring(self, other: "TruncatedSeries") -> RingSpec:
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-        return self.ring
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Forget coefficients at q^order and beyond (order must shrink)."""
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend series of order {self.order} to {order}"
-            )
-        return TruncatedSeries(self.ring, self.coeffs[:order])
 
     def nonzero_terms(self) -> list:
         return [(i, c) for i, c in enumerate(self.coeffs) if c]
@@ -249,25 +233,10 @@ class TruncatedSeries(Record):
 
     # -- arithmetic ----------------------------------------------------
 
-    # map() stops at its shortest argument, which truncates to the lower
-    # order of the two operands
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        ring = self._common_ring(other)
-        return TruncatedSeries(
-            ring, ring.reduced(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        ring = self._common_ring(other)
-        return TruncatedSeries(
-            ring, ring.reduced(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring,
-                               self.ring.reduced(map(neg, self.coeffs)))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        ring = self._common_ring(other)
+        ring = self.ring
+        if ring != other.ring:
+            raise ValueError(f"ring mismatch: {ring} vs {other.ring}")
         n = min(self.order, other.order)
         a, b = self.coeffs[:n], other.coeffs[:n]
         # convolve with the sparser operand outermost: each nonzero b[i]

@@ -659,13 +659,13 @@ def test_table_less_commands_accept_json_format(capsys, command):
 def test_cli_import_leaves_out_dataclasses_and_csv():
     # a fresh interpreter, since pytest itself has imported dataclasses; -S
     # keeps a site-packages .pth file from preloading any watched module,
-    # so the package is found through PYTHONPATH alone.  No job loads
-    # argparse or the gettext and locale modules that argparse imports, and
-    # only the Omega suite loads random.
+    # so the package is found through PYTHONPATH alone.  Importing cli
+    # loads no re, no job loads argparse or the gettext and locale modules
+    # that argparse imports, and only the Omega suite loads random.
     probe = (
         "import sys\n"
         "watched = {'__future__', 'argparse', 'csv', 'dataclasses',\n"
-        "           'gettext', 'locale', 'random', 'typing'}\n"
+        "           'gettext', 'locale', 'random', 're', 'typing'}\n"
         "watched -= set(sys.modules)\n"
         "from partition_diamonds import cli\n"
         "added = sorted(watched & set(sys.modules))\n"
@@ -686,7 +686,7 @@ def test_cli_import_leaves_out_dataclasses_and_csv():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == \
         "['__future__', 'argparse', 'csv', 'dataclasses', 'gettext', " \
-        "'locale', 'random', 'typing'] [] True [] False True"
+        "'locale', 'random', 're', 'typing'] [] True [] False True"
 
 
 # Stored stdout digests of the benchmark jobs; read only.  Each command in
@@ -998,6 +998,9 @@ EDGE_ARGVS = [
     ["verify", "--all=", "--k", "3"], ["identities", "--only=omega", "--d",
                                        "4", "--s", "-0"],
     ["oracle", "--kind", "ddn", "--d", "2", "--n", "-1", "--b", "10"],
+    # a value only if it is a negative number by argparse's regex
+    *(["coeffs", "--series", "sd", "--d", token]
+      for token in ("-5\n", "-٣", "-.5", "-1.", "-1.2.3", "-²")),
 ]
 
 

@@ -187,7 +187,7 @@ def test_scanner_finds_mod5_progressions():
 
 
 def test_scanner_zero_series_prunes_to_trivial():
-    zero = TruncatedSeries.zero(120, RingSpec(5))
+    zero = TruncatedSeries(RingSpec(5), (0,) * 120)
     assert scan_progressions(zero, 9) == [(1, 0)]
 
 
@@ -327,3 +327,13 @@ def test_false_claim_keeps_its_witness(monkeypatch):
     report = verify_claim(claim, k_max=4, n_max=20)
     assert report.witness == (2, 9, 3)
     assert calls == [(1, 5), (2, 5)]
+
+
+def test_verify_reuse_key_keeps_the_tables_last_entry():
+    # at order 3 the tables mod 7 are (1, 1, 6) for d = 3 and (1, 1, 1) for
+    # d = 6, equal but for the last entry; s_d(2) = 2^d + 3^d is 35 = 0 for
+    # d = 3 and 793 = 2 for d = 6, so d = 6 must still be built
+    claim = CongruenceClaim(3, 3, 3, 2, modulus=7)
+    report = verify_claim(claim, k_max=1, n_max=0)
+    assert report.status == "counterexample"
+    assert report.witness == Witness(d=6, index=2, value=2)
