@@ -12,6 +12,10 @@ argparse did, without importing argparse or re.  BOUNDS holds every bound
 on a flag's value, and main refuses a value outside it, on every command
 that takes the flag, with exit 2 before any guard, build or check: a check
 or scan over nothing would pass on nothing.
+
+cli is the one module that shapes output: series_to_json_dict and
+report_to_json_dict give a series and a claim report their JSON shapes, and
+_emit prints JSON, CSV or plain rows; the library modules return values.
 """
 
 import os
@@ -19,8 +23,8 @@ import sys
 from itertools import product
 from types import SimpleNamespace
 
-from .congruences import (builtin_claims, claim_by_label,
-                          report_to_json_dict, scan_progressions, verify_claims)
+from .congruences import (ClaimReport, builtin_claims, claim_by_label,
+                          scan_progressions, verify_claims)
 from .genfun import (ddn_series_closed, mersmann_F_series, rd_series,
                      sd_series)
 from .omega import crude_Dd1_check, run_omega_suite
@@ -28,9 +32,41 @@ from .oracle import (BudgetError, count_rd_upto, count_sd_upto,
                      series_Ddn_bruteforce)
 from .polynomials import eulerian_poly, fd_at_w1
 from .series import (RingSpec, TruncatedSeries, ZZ, jacobi_cube_series,
-                     pentagonal_series, product_family, series_to_json_dict)
+                     pentagonal_series, product_family)
 
 DEFAULT_SEED = int.from_bytes(b"D1A30ND5", "big")  # fixed 64-bit mnemonic
+
+
+def series_to_json_dict(s: TruncatedSeries) -> dict:
+    ring = "Z" if s.ring.modulus is None else {"mod": s.ring.modulus}
+    return {"ring": ring, "order": s.order, "coeffs": [str(c) for c in s.coeffs]}
+
+
+def report_to_json_dict(report: ClaimReport) -> dict:
+    """ClaimReport as a JSON-ready dict; conjectural claims get their own
+    status strings so a failed conjecture is not confused with a bug."""
+    claim = report.claim
+    verified = report.status == "verified_up_to_bounds"
+    if claim.conjectural:
+        status = "conjecture-held" if verified else "conjecture-failed"
+    else:
+        status = "verified" if verified else "counterexample"
+    return {
+        "claim": {
+            "label": claim.label,
+            "d_stride": claim.d_stride,
+            "d_offset": claim.d_offset,
+            "prog_modulus": claim.prog_modulus,
+            "residue": claim.residue,
+            "modulus": "2^d" if claim.power_of_two_in_d else claim.modulus,
+            "conjectural": claim.conjectural,
+        },
+        "status": status,
+        "k_max": report.k_max,
+        "n_max": report.n_max,
+        "witness": (None if report.witness is None
+                    else report.witness._asdict()),
+    }
 
 
 def _emit(payload, fmt: str = "json", header=(), rows=(),
@@ -202,11 +238,9 @@ def cmd_verify(args: SimpleNamespace) -> int:
         claims = list(builtin_claims())
     reports = verify_claims(claims, args.k_max, args.n_max, args.budget)
     dicts = [report_to_json_dict(r) for r in reports]
-    rows = []
-    for d in dicts:
-        w = d["witness"] or {}
-        rows.append([d["claim"]["label"], d["status"], str(w.get("d", "")),
-                     str(w.get("index", "")), str(w.get("value", ""))])
+    rows = [[d["claim"]["label"], d["status"],
+             *map(str, r.witness or ("", "", ""))]
+            for d, r in zip(dicts, reports)]
     # plain output is "label status" only
     _emit({"reports": dicts}, args.format,
           ("label", "status", "witness_d", "witness_index", "witness_value"),

@@ -38,7 +38,6 @@ __all__ = [
     "internal_congruence_check",
     "euler_phi",
     "scan_progressions",
-    "report_to_json_dict",
 ]
 
 
@@ -240,7 +239,7 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
     order at the latest: past it, class r inspects only coefficient r, as
     (order, r) does.
     """
-    if series.ring.is_exact:
+    if series.ring.modulus is None:
         raise ValueError("scan expects a series over a residue ring")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -260,30 +259,3 @@ def scan_progressions(series: TruncatedSeries, m_max: int,
                 continue
             kept.append((M, r))
     return sorted(kept)
-
-
-def report_to_json_dict(report: ClaimReport) -> dict:
-    """ClaimReport as a JSON-ready dict; conjectural claims get their own
-    status strings so a failed conjecture is not confused with a bug."""
-    claim = report.claim
-    verified = report.status == "verified_up_to_bounds"
-    if claim.conjectural:
-        status = "conjecture-held" if verified else "conjecture-failed"
-    else:
-        status = "verified" if verified else "counterexample"
-    return {
-        "claim": {
-            "label": claim.label,
-            "d_stride": claim.d_stride,
-            "d_offset": claim.d_offset,
-            "prog_modulus": claim.prog_modulus,
-            "residue": claim.residue,
-            "modulus": "2^d" if claim.power_of_two_in_d else claim.modulus,
-            "conjectural": claim.conjectural,
-        },
-        "status": status,
-        "k_max": report.k_max,
-        "n_max": report.n_max,
-        "witness": (None if report.witness is None
-                    else report.witness._asdict()),
-    }

@@ -49,7 +49,6 @@ __all__ = [
     "product_family",
     "pentagonal_series",
     "jacobi_cube_series",
-    "series_to_json_dict",
 ]
 
 
@@ -122,10 +121,6 @@ class RingSpec(Record):
 
     def __hash__(self):
         return hash(self.modulus)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.modulus is None
 
     def reduced(self, coeffs: Iterable[int]) -> tuple:
         """The coefficients as a tuple, each reduced into [0, m) over Z/mZ."""
@@ -499,12 +494,3 @@ def jacobi_cube_series(order: int, ring: RingSpec = ZZ) -> TruncatedSeries:
     """prod (1-q^m)^3 as the sparse sum over triangular numbers."""
     return TruncatedSeries.from_terms(dict(jacobi_cube_terms(order)), order,
                                       ring)
-
-
-# ---------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------
-
-def series_to_json_dict(s: TruncatedSeries) -> dict:
-    ring = "Z" if s.ring.is_exact else {"mod": s.ring.modulus}
-    return {"ring": ring, "order": s.order, "coeffs": [str(c) for c in s.coeffs]}

@@ -7,10 +7,10 @@ All comparisons are exact equality; there are no tolerances anywhere.
 
 from itertools import product
 
-from partition_diamonds.cli import DEFAULT_SEED
+from partition_diamonds.cli import DEFAULT_SEED, report_to_json_dict
 from partition_diamonds.congruences import (
     builtin_claims, claim_by_label, internal_congruence_check,
-    report_to_json_dict, scan_progressions, verify_claim,
+    scan_progressions, verify_claim,
 )
 from partition_diamonds.genfun import (
     ddn_series_closed, mersmann_F_series, rd_series, sd_series,

@@ -18,8 +18,9 @@ from partition_diamonds import cli, congruences, oracle
 from partition_diamonds.cli import (DEFAULT_SEED, IDENTITY_CHECKS, cmd_coeffs,
                                     cmd_identities, cmd_oracle, cmd_scan,
                                     cmd_verify, main)
+from partition_diamonds.congruences import CongruenceClaim, claim_by_label
 from partition_diamonds.genfun import rd_series, sd_series
-from partition_diamonds.series import RingSpec
+from partition_diamonds.series import RingSpec, TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -431,6 +432,81 @@ def test_verify_power_of_two_family_to_d_63(capsys):
                            "--k-max", "62", "--n-max", "20",
                            "--format", "plain")
     assert (code, out) == (0, "mod2pow verified\n")
+
+
+# Exit 1 is "a mathematical counterexample or failed identity"; no catalog
+# claim or identity fails, so these tests plant one.
+
+@pytest.mark.parametrize("kind, extra, closed, enumerated", [
+    ("rd", (), "8", "7"), ("sd", (), "37", "36"),
+    ("ddn", ("--n", "2"), "8", "7"),
+], ids=["rd", "sd", "ddn"])
+def test_oracle_mismatch_exits_1(capsys, monkeypatch, kind, extra, closed,
+                                 enumerated):
+    real = cli._closed_form
+
+    def off_by_one_at_5(*args):
+        coeffs = list(real(*args).coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries.from_coeffs(coeffs)
+
+    monkeypatch.setattr(cli, "_closed_form", off_by_one_at_5)
+    code, out, _ = run_cli(capsys, "oracle", "--kind", kind, "--d", "1",
+                           *extra, "--N", "12")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    assert payload["mismatches"] == [
+        {"index": 5, "closed_form": closed, "enumeration": enumerated}]
+
+
+def test_failed_identity_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_check_pentagonal",
+                        lambda order: (False, {"order": order}))
+    code, out, _ = run_cli(capsys, "identities", "--only", "pentagonal",
+                           "--N", "30")
+    assert code == 1
+    assert json.loads(out) == {"checks": [{
+        "name": "pentagonal", "passed": False, "detail": {"order": 30}}],
+        "passed": False}
+
+
+def planted_claims():
+    """A false theorem, the same claim as a conjecture, and mod2pow: s_1(1)
+    = 2 is not 0 mod 5."""
+    return (CongruenceClaim(0, 1, 5, 1, modulus=5, label="bogus"),
+            CongruenceClaim(0, 1, 5, 1, modulus=5, conjectural=True,
+                            label="bogus_conj"),
+            claim_by_label("mod2pow"))
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("csv", ['"label","status","witness_d","witness_index","witness_value"',
+             '"bogus","counterexample","1","1","2"',
+             '"bogus_conj","conjecture-failed","1","1","2"',
+             '"mod2pow","verified","","",""']),
+    ("plain", ["bogus counterexample", "bogus_conj conjecture-failed",
+               "mod2pow verified"]),
+], ids=["csv", "plain"])
+def test_verify_counterexample_exits_1_in_table_formats(capsys, monkeypatch,
+                                                        fmt, want):
+    monkeypatch.setattr(cli, "builtin_claims", planted_claims)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--k-max", "0",
+                           "--n-max", "10", "--format", fmt)
+    assert (code, out.splitlines()) == (1, want)
+
+
+def test_verify_counterexample_exits_1_in_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "builtin_claims", planted_claims)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--k-max", "0",
+                           "--n-max", "10")
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    witness = {"d": 1, "index": 1, "value": 2}
+    assert [(r["claim"]["label"], r["status"], r["witness"])
+            for r in reports] == [("bogus", "counterexample", witness),
+                                  ("bogus_conj", "conjecture-failed", witness),
+                                  ("mod2pow", "verified", None)]
 
 
 def test_scan_plain_matches_known_progressions(capsys):

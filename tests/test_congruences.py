@@ -3,10 +3,11 @@
 import pytest
 
 from partition_diamonds import congruences
+from partition_diamonds.cli import report_to_json_dict
 from partition_diamonds.congruences import (
     ClaimReport, CongruenceClaim, Witness,
     builtin_claims, claim_by_label, euler_phi, internal_congruence_check,
-    report_to_json_dict, scan_progressions, verify_claim, verify_claims,
+    scan_progressions, verify_claim, verify_claims,
 )
 from partition_diamonds.genfun import sd_series
 from partition_diamonds.oracle import BudgetError, count_sd

@@ -11,9 +11,10 @@ from operator import add
 
 import pytest
 
+from partition_diamonds.cli import series_to_json_dict
 from partition_diamonds.series import (
     RingSpec, TruncatedSeries, ZZ, jacobi_cube_series, pentagonal_series,
-    product_family, series_to_json_dict,
+    product_family,
 )
 
 
@@ -274,7 +275,7 @@ def test_mul_equals_literal_convolution(ring):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
-def test_add_sub_neg_from_coeffs_equal_literal_loops(ring):
+def test_from_coeffs_equals_literal_loop(ring):
     # the series type has no sums, so only from_coeffs is left to check
     rng = random.Random(4200 + (ring.modulus or 0) % 1000)
     for _ in range(200):
